@@ -1,34 +1,35 @@
-// Online hot-path A/B: ScoringMode::kIncremental vs kFromScratch on one
-// long-session corpus, plus the sharded determinism fence.
+// Online hot-path A/B: OnlineDetector vs the naive reference engine
+// (tests/reference_online.h) on one long-session corpus, plus the
+// alert-identity fence.
 //
 // The workload is the regime the incremental path exists for: long-lived
 // proxy sessions (hundreds of transactions under one session cookie) where
 // a clue fires mid-stream and the session then KEEPS STREAMING — every
 // further transaction re-queries the classifier until the session ends.
-// From-scratch pays O(n) per update (rescan the whole session history,
-// rebuild the scoped WCG, recompute all 19 graph metrics, walk the pointer
-// forest); incremental folds only the delta, serves metrics from the
+// The reference ("from-scratch") arm pays O(n) per update (scan every
+// session, rescan the whole session history, rebuild the scoped WCG,
+// recompute all 19 graph metrics, walk the pointer forest); the engine
+// ("incremental") folds only the delta, serves metrics from the
 // topology-version cache, skips provably-unchanged queries outright, and
 // scores through the flattened ERF.
 //
-// Before any timing, the correctness invariant is enforced: the incremental
-// alert set — sequential and sharded at 1/2/8 shards — must be IDENTICAL
-// (score bits included) to the sequential from-scratch reference.  The
-// process exits nonzero on divergence; a speedup for a wrong answer is
-// worthless.
+// The correctness fence runs over the timed trace plus 8 exploit-kit
+// episodes, each on its own client, so it compares a non-empty alert set
+// without changing what the A/B times: the engine's alerts — sequential
+// and sharded at 1/2/8 shards — must be IDENTICAL (score bits included) to
+// the reference engine's.  The process exits nonzero on divergence or when
+// the reference raises no alert; a speedup for a wrong answer is worthless.
 //
-// Acceptance targets (ISSUE 4): >= 3x transaction throughput AND >= 3x
-// lower p95 dm.detect.clue_to_verdict_ns for incremental vs from-scratch.
-// `--json <path>` appends the result record (both modes + ratios) as one
-// JSON line; BENCH_hotpath.json at the repo root is the checked-in baseline.
+// Targets: >= 3x transaction throughput AND >= 3x lower p95 clue-to-verdict
+// latency for the engine vs the reference.  `--json <path>` appends the
+// result record (both arms + ratios) as one JSON line; BENCH_hotpath.json
+// at the repo root holds the checked-in rows.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "bench_common.h"
@@ -38,6 +39,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reference_online.h"
 #include "runtime/sharded_online.h"
 #include "synth/dataset.h"
 
@@ -45,7 +47,7 @@ namespace {
 
 using dm::core::Alert;
 using dm::core::OnlineOptions;
-using dm::core::ScoringMode;
+using dm::core::reference::alert_keys;
 using dm::http::HttpTransaction;
 
 struct TraceShape {
@@ -127,7 +129,7 @@ HttpTransaction make_redirect(const std::string& client,
 /// chain into a risky download (fires the clue under threshold 2), then
 /// `post_clue` transactions — unrelated noise punctuated every 64 steps by
 /// a callback POST to a never-seen host (retroactive implication: forces a
-/// scope rescan in incremental mode) and a request referred from the drop
+/// scope rescan in the engine) and a request referred from the drop
 /// host (scoped-WCG growth, so not every post-clue query can be skipped).
 void append_client_session(std::vector<HttpTransaction>& stream,
                            const TraceShape& shape, std::size_t c,
@@ -182,12 +184,18 @@ void append_client_session(std::vector<HttpTransaction>& stream,
   }
 }
 
-/// Full benchmark trace: the crafted long sessions interleaved with synth
-/// benign browsing.  The alert set the equivalence fence compares comes
-/// from the crafted sessions themselves (their post-clue call-back growth
-/// eventually crosses the decision threshold); synth infection episodes are
-/// deliberately absent — their sessions are short, so their clue-to-verdict
-/// samples cost the same in both modes and would only blur the A/B.
+void sort_by_time(std::vector<HttpTransaction>& stream) {
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const HttpTransaction& a, const HttpTransaction& b) {
+                     return a.request.ts_micros < b.request.ts_micros;
+                   });
+}
+
+/// Timed benchmark trace: the crafted long sessions interleaved with synth
+/// benign browsing.  Synth infection episodes are deliberately absent —
+/// their sessions are short, so their clue-to-verdict samples cost the same
+/// in both arms and would only blur the A/B; the fence adds them instead
+/// (with_exploit_kits).
 std::vector<HttpTransaction> build_trace(const TraceShape& shape,
                                          std::uint64_t seed) {
   std::vector<HttpTransaction> stream;
@@ -215,17 +223,39 @@ std::vector<HttpTransaction> build_trace(const TraceShape& shape,
     episode_start += 2'000'000;
   }
 
-  std::stable_sort(stream.begin(), stream.end(),
-                   [](const HttpTransaction& a, const HttpTransaction& b) {
-                     return a.request.ts_micros < b.request.ts_micros;
-                   });
+  sort_by_time(stream);
   return stream;
 }
 
-OnlineOptions mode_options(ScoringMode mode, dm::obs::MetricsRegistry* metrics) {
+/// Fence trace: `trace` plus 8 exploit-kit episodes, each on its own client
+/// and staggered onto the trace's clock, so the fence compares alerts.
+std::vector<HttpTransaction> with_exploit_kits(std::vector<HttpTransaction> trace,
+                                               std::uint64_t seed) {
+  dm::synth::TraceGenerator gen(seed + 1);
+  const auto& families = dm::synth::exploit_kit_families();
+  std::uint64_t start = 1'700'000'000ULL * 1'000'000 + 20'000'000;
+  for (std::size_t i = 0; i < 8; ++i) {
+    auto episode = gen.infection(families[i % families.size()]);
+    if (episode.transactions.empty()) continue;
+    const std::string client = "10.66.0." + std::to_string(i + 1);
+    const std::uint64_t base = episode.transactions.front().request.ts_micros;
+    for (auto& txn : episode.transactions) {
+      txn.client_host = client;
+      txn.request.ts_micros = txn.request.ts_micros - base + start;
+      if (txn.response) {
+        txn.response->ts_micros = txn.response->ts_micros - base + start;
+      }
+      trace.push_back(std::move(txn));
+    }
+    start += 3'000'000;
+  }
+  sort_by_time(trace);
+  return trace;
+}
+
+OnlineOptions online_options(dm::obs::MetricsRegistry* metrics) {
   OnlineOptions options;
   options.redirect_chain_threshold = 2;
-  options.scoring = mode;
   options.metrics = metrics;
   return options;
 }
@@ -247,7 +277,7 @@ double traced_pass(const std::vector<HttpTransaction>& trace,
     return options;
   }()};
   dm::obs::MetricsRegistry metrics;
-  auto options = mode_options(ScoringMode::kIncremental, &metrics);
+  auto options = online_options(&metrics);
   options.trace = &sink;
   options.flight = &flight;
   dm::core::OnlineDetector detector(trained_detector(), options);
@@ -290,25 +320,16 @@ struct ModeResult {
   std::vector<Alert> alerts;
 };
 
-ModeResult run_mode(ScoringMode mode, const std::vector<HttpTransaction>& trace,
-                    const std::string& name) {
-  // Private registry per run: each mode's clue-to-verdict histogram is
-  // isolated, so the A/B never mixes samples.
-  dm::obs::MetricsRegistry metrics;
-  dm::core::OnlineDetector detector(trained_detector(),
-                                    mode_options(mode, &metrics));
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& txn : trace) detector.observe(txn);
-  const auto t1 = std::chrono::steady_clock::now();
-
+/// Fills the timing and clue-to-verdict fields from one arm's private
+/// registry (each arm's histogram is isolated, so the A/B never mixes
+/// samples).
+ModeResult summarize(const std::string& name, std::size_t transactions,
+                     double elapsed_ms,
+                     const dm::obs::MetricsRegistry& metrics) {
   ModeResult result;
   result.name = name;
-  result.elapsed_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  result.txn_per_s =
-      static_cast<double>(trace.size()) / (result.elapsed_ms / 1e3);
-  result.stats = detector.stats();
-  result.alerts = detector.alerts();
+  result.elapsed_ms = elapsed_ms;
+  result.txn_per_s = static_cast<double>(transactions) / (elapsed_ms / 1e3);
   const auto snap = metrics.snapshot();
   if (const auto* h = snap.histogram("dm.detect.clue_to_verdict_ns")) {
     result.c2v_p50_ns = h->p50();
@@ -318,22 +339,53 @@ ModeResult run_mode(ScoringMode mode, const std::vector<HttpTransaction>& trace,
   return result;
 }
 
-using AlertKey = std::tuple<std::uint64_t, std::string, std::string,
-                            std::uint64_t, std::string, std::size_t,
-                            std::size_t>;
+double elapsed_ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
-std::vector<AlertKey> sorted_keys(const std::vector<Alert>& alerts) {
-  std::vector<AlertKey> keys;
-  keys.reserve(alerts.size());
-  for (const auto& a : alerts) {
-    std::uint64_t score_bits;
-    static_assert(sizeof(score_bits) == sizeof(a.score));
-    std::memcpy(&score_bits, &a.score, sizeof(score_bits));
-    keys.emplace_back(a.ts_micros, a.session_key, a.client, score_bits,
-                      a.trigger_host, a.wcg_order, a.wcg_size);
+ModeResult run_engine(const std::vector<HttpTransaction>& trace,
+                      const std::string& name) {
+  dm::obs::MetricsRegistry metrics;
+  dm::core::OnlineDetector detector(trained_detector(),
+                                    online_options(&metrics));
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const auto& txn : trace) detector.observe(txn);
+  auto result = summarize(name, trace.size(), elapsed_ms_since(t0), metrics);
+  result.stats = detector.stats();
+  result.alerts = detector.alerts();
+  return result;
+}
+
+/// The reference arm.  The reference engine scores a session in the same
+/// observe() call that fires its clue, so that call's wall time stands in
+/// for its clue-to-verdict latency (an upper bound: it includes the
+/// session scan and clue inference).
+ModeResult run_reference(const std::vector<HttpTransaction>& trace,
+                         const std::string& name) {
+  dm::obs::MetricsRegistry metrics;
+  auto& c2v = metrics.histogram("dm.detect.clue_to_verdict_ns");
+  dm::core::reference::ReferenceOnline reference(*trained_detector(),
+                                                 online_options(nullptr));
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const auto& txn : trace) {
+    const std::size_t clues = reference.clues_fired();
+    const auto call = std::chrono::steady_clock::now();
+    reference.observe(txn);
+    if (reference.clues_fired() != clues) {
+      c2v.record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - call)
+              .count()));
+    }
   }
-  std::sort(keys.begin(), keys.end());
-  return keys;
+  auto result = summarize(name, trace.size(), elapsed_ms_since(t0), metrics);
+  result.stats.clues_fired = reference.clues_fired();
+  result.stats.classifier_queries = reference.verdicts().size();
+  result.stats.alerts = reference.alerts().size();
+  result.alerts = reference.alerts();
+  return result;
 }
 
 std::vector<Alert> run_sharded(std::size_t shards,
@@ -342,7 +394,7 @@ std::vector<Alert> run_sharded(std::size_t shards,
   options.num_shards = shards;
   options.batch_size = 64;
   options.queue_capacity = 128;
-  options.online = mode_options(ScoringMode::kIncremental, nullptr);
+  options.online = online_options(nullptr);
   dm::runtime::ShardedOnlineEngine engine(trained_detector(), options);
   for (const auto& txn : trace) engine.observe(txn);
   engine.finish();
@@ -367,7 +419,8 @@ int main(int argc, char** argv) {
   const double scale = dm::bench::scale_from_env(1.0);
   const std::uint64_t seed = dm::bench::seed_from_env();
   dm::bench::print_header(
-      "bench_online_hotpath: incremental vs from-scratch scoring", scale, seed);
+      "bench_online_hotpath: incremental engine vs from-scratch reference",
+      scale, seed);
 
   const auto shape = trace_shape(scale);
   const auto trace = build_trace(shape, seed);
@@ -378,34 +431,41 @@ int main(int argc, char** argv) {
   dm::obs::set_enabled(true);
 
   // Warm-up untimed pass (page in the trace, the model, the allocator).
-  run_mode(ScoringMode::kIncremental, trace, "warmup");
+  run_engine(trace, "warmup");
 
-  const auto scratch = run_mode(ScoringMode::kFromScratch, trace, "from-scratch");
-  const auto incremental =
-      run_mode(ScoringMode::kIncremental, trace, "incremental");
+  const auto scratch = run_reference(trace, "from-scratch");
+  const auto incremental = run_engine(trace, "incremental");
   print_mode(scratch);
   print_mode(incremental);
 
   // --- correctness fence: identical alert sets, score bits included -------
-  const auto reference = sorted_keys(scratch.alerts);
-  if (sorted_keys(incremental.alerts) != reference) {
-    std::fprintf(stderr, "FATAL: incremental alert set diverged from "
-                         "from-scratch (%zu vs %zu alerts)\n",
-                 incremental.alerts.size(), scratch.alerts.size());
+  const auto fence_trace = with_exploit_kits(trace, seed);
+  const auto reference = alert_keys(run_reference(fence_trace, "fence").alerts);
+  if (reference.empty()) {
+    std::fprintf(stderr, "FATAL: vacuous fence: the reference engine raised "
+                         "no alert on the %zu-transaction fence trace\n",
+                 fence_trace.size());
+    return 1;
+  }
+  const auto sequential = run_engine(fence_trace, "fence").alerts;
+  if (alert_keys(sequential) != reference) {
+    std::fprintf(stderr, "FATAL: engine alert set diverged from the "
+                         "reference (%zu vs %zu alerts)\n",
+                 sequential.size(), reference.size());
     return 1;
   }
   for (const std::size_t shards : {1, 2, 8}) {
-    if (sorted_keys(run_sharded(shards, trace)) != reference) {
+    if (alert_keys(run_sharded(shards, fence_trace)) != reference) {
       std::fprintf(stderr,
-                   "FATAL: %zu-shard incremental alert set diverged from the "
-                   "sequential from-scratch reference\n",
+                   "FATAL: %zu-shard engine alert set diverged from the "
+                   "reference\n",
                    shards);
       return 1;
     }
   }
-  std::printf("\nalert sets identical across modes and 1/2/8 shards "
-              "(%zu alerts)\n",
-              reference.size());
+  std::printf("\nalert sets identical: reference, engine, 1/2/8 shards "
+              "(%zu alerts over %zu fence transactions)\n",
+              reference.size(), fence_trace.size());
 
   const double throughput_ratio = incremental.txn_per_s / scratch.txn_per_s;
   const double p95_ratio = scratch.c2v_p95_ns /
@@ -421,7 +481,7 @@ int main(int argc, char** argv) {
   const double trace_always = overhead.always;
   const double sampled_overhead_pct = (1.0 - trace_sampled / trace_off) * 100.0;
   const double always_overhead_pct = (1.0 - trace_always / trace_off) * 100.0;
-  std::printf("\ntracing overhead (incremental mode, best of %d):\n",
+  std::printf("\ntracing overhead (incremental engine, best of %d):\n",
               kTraceReps);
   std::printf("  off        %9.0f txn/s\n", trace_off);
   std::printf("  sampled/16 %9.0f txn/s  (%+.2f%%, target <= 3%%)\n",

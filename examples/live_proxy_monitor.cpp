@@ -102,7 +102,7 @@ class MetricsReporter {
         "METRICS t=%.1fs streamed=%zu sessions=%lld clues=%llu verdicts=%llu "
         "alerts=%llu p95(observe)=%.1fus\n",
         ts_micros / 1e6 - stream_start_micros / 1e6, streamed,
-        static_cast<long long>(snap.gauge_value("dm.detect.active_sessions")),
+        static_cast<long long>(snap.gauge_value("dm.session.resident")),
         static_cast<unsigned long long>(snap.counter_value("dm.detect.clues")),
         static_cast<unsigned long long>(
             snap.counter_value("dm.detect.verdicts")),

@@ -36,22 +36,6 @@ double Detector::score(const Wcg& wcg, FeatureCache* cache) const {
   return proba;
 }
 
-double Detector::score_from_scratch(const Wcg& wcg) const {
-  auto& obs = dm::obs::pipeline_metrics();
-  const dm::obs::StageTimer timer;
-  auto extract_span = timer.span(obs.stage_feature_extract_ns);
-  dm::obs::ScopedTraceSpan extract_tspan(dm::obs::TraceOp::kFeatureExtract);
-  const auto features = extract_features(wcg, options_);
-  extract_tspan.end();
-  extract_span.stop();
-  auto infer_span = timer.span(obs.stage_erf_infer_ns);
-  dm::obs::ScopedTraceSpan infer_tspan(dm::obs::TraceOp::kErfInfer);
-  const double proba = forest_.predict_proba(features);
-  infer_tspan.end();
-  infer_span.stop();
-  return proba;
-}
-
 bool Detector::is_infection(const Wcg& wcg) const {
   return score(wcg) >= threshold_;
 }

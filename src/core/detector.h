@@ -13,7 +13,8 @@ namespace dm::core {
 /// Inference runs through a FlatForest compiled from the trained ensemble
 /// at construction (bit-identical scores, cache-resident layout); the
 /// pointer-based RandomForest is kept as the training/serialization
-/// representation and stays reachable via forest().
+/// representation and stays reachable via forest() (the online engine's
+/// test oracle, tests/reference_online.h, scores through it).
 class Detector {
  public:
   Detector(dm::ml::RandomForest forest, FeatureExtractorOptions options = {},
@@ -22,14 +23,10 @@ class Detector {
   /// Ensemble infection score in [0, 1].
   double score(const Wcg& wcg) const;
 
-  /// Cache-aware variant for the incremental hot path: graph metrics are
+  /// Cache-aware variant for the online hot path: graph metrics are
   /// reused from `cache` when the WCG topology is unchanged.  `cache` may
   /// be null.  Output is identical to score(wcg) in all cases.
   double score(const Wcg& wcg, FeatureCache* cache) const;
-
-  /// Reference path: uncached extraction + the pointer-based forest.  Used
-  /// by the equivalence tests and the A/B bench; same result as score().
-  double score_from_scratch(const Wcg& wcg) const;
 
   /// Hard verdict at the configured threshold.
   bool is_infection(const Wcg& wcg) const;

@@ -25,10 +25,7 @@ std::string referrer_host_of(const HttpTransaction& txn) {
 }
 
 /// Whether a transaction belongs to the potential-infection scope: it
-/// touches an implicated host as server or referrer.  The single
-/// relatedness rule shared by the from-scratch rebuild and the incremental
-/// scope maintenance — identical filters are what make the two modes'
-/// scoped WCGs (and hence alerts) bit-identical.
+/// touches an implicated host as server or referrer.
 bool clue_related(const HttpTransaction& txn,
                   const std::set<std::string>& suspicious_hosts) {
   if (suspicious_hosts.count(txn.server_host) > 0) return true;
@@ -68,7 +65,8 @@ std::size_t approx_headers_bytes(const dm::http::Headers& headers) noexcept {
 }
 
 /// Approximate resident footprint of one owned transaction (strings +
-/// headers + struct); charged once per builder that retains a copy.
+/// headers + struct); charged once per container that retains a copy (the
+/// session log, the scoped builder).
 std::size_t approx_txn_bytes(const HttpTransaction& txn) noexcept {
   std::size_t total = sizeof(HttpTransaction);
   total += approx_string_bytes(txn.client_host) +
@@ -88,7 +86,41 @@ std::size_t approx_txn_bytes(const HttpTransaction& txn) noexcept {
   return total;
 }
 
+/// The engine's scorer when none is installed: the bound Detector, which
+/// stamps its model version into the ambient trace context.
+class DetectorScorer final : public WcgScorer {
+ public:
+  explicit DetectorScorer(std::shared_ptr<const Detector> detector)
+      : detector_(std::move(detector)) {}
+
+  double score(const Wcg& wcg, FeatureCache* cache) override {
+    dm::obs::trace_set_model_version(
+        static_cast<std::uint32_t>(detector_->forest().model_version()));
+    return detector_->score(wcg, cache);
+  }
+
+ private:
+  std::shared_ptr<const Detector> detector_;
+};
+
 }  // namespace
+
+OnlineStats& OnlineStats::operator+=(const OnlineStats& other) noexcept {
+  // A new counter must be summed here too.
+  static_assert(sizeof(OnlineStats) == 11 * sizeof(std::size_t));
+  transactions_seen += other.transactions_seen;
+  transactions_weeded += other.transactions_weeded;
+  clues_fired += other.clues_fired;
+  classifier_queries += other.classifier_queries;
+  classifier_failures += other.classifier_failures;
+  alerts += other.alerts;
+  sessions_opened += other.sessions_opened;
+  sessions_expired += other.sessions_expired;
+  sessions_evicted += other.sessions_evicted;
+  scope_rescans += other.scope_rescans;
+  queries_skipped_unchanged += other.queries_skipped_unchanged;
+  return *this;
+}
 
 OnlineDetector::OnlineDetector(Detector detector, OnlineOptions options)
     : OnlineDetector(std::make_shared<const Detector>(std::move(detector)),
@@ -96,7 +128,9 @@ OnlineDetector::OnlineDetector(Detector detector, OnlineOptions options)
 
 OnlineDetector::OnlineDetector(std::shared_ptr<const Detector> detector,
                                OnlineOptions options)
-    : detector_(std::move(detector)),
+    : scorer_(options.scorer != nullptr
+                  ? options.scorer
+                  : std::make_shared<DetectorScorer>(std::move(detector))),
       options_(std::move(options)),
       timer_(options_.clock),
       obs_(options_.metrics != nullptr
@@ -180,10 +214,8 @@ OnlineDetector::Session& OnlineDetector::find_or_create_session(
   session.key =
       txn.client_host + "#" + std::to_string(next_session_seq_[txn.client_host]++);
   session.client = txn.client_host;
-  session.builder = WcgBuilder(shared_builder_options_);
   session.scoped = WcgBuilder(shared_builder_options_);
   ++stats_.sessions_opened;
-  obs_.detect_active_sessions.add(1);
   sess_obs_.resident.add(1);
   auto [it, inserted] = sessions_.emplace(session.key, std::move(session));
   Session& created = it->second;
@@ -263,8 +295,9 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction txn) {
     }
   }
 
-  if (session.builder.add(txn)) {
+  if (!txn.server_host.empty()) {  // trusted vendors were weeded above
     pin_bytes(session, approx_txn_bytes(txn));
+    session.log.push_back(txn);
   }
   if (!session.clue_fired) session.hosts_before_clue.insert(txn.server_host);
 
@@ -321,7 +354,7 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction txn) {
   // Keep the scoped (clue-related) builder in lockstep with the stream so
   // the first post-clue verdict only folds a delta, never the whole
   // session history.
-  if (options_.scoring == ScoringMode::kIncremental) maintain_scope(session);
+  maintain_scope(session);
 
   // --- Classification -----------------------------------------------------
   // Once a clue has fired, every update re-extracts features and queries
@@ -396,16 +429,7 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction txn) {
   return alert;
 }
 
-Wcg OnlineDetector::potential_infection_wcg(const Session& session) const {
-  WcgBuilder scoped(shared_builder_options_);
-  for (const auto& txn : session.builder.transactions()) {
-    if (clue_related(txn, session.suspicious_hosts)) scoped.add(txn);
-  }
-  return scoped.build();
-}
-
 void OnlineDetector::maintain_scope(Session& session) {
-  const auto& txns = session.builder.transactions();
   if (session.scope_suspicious_seen != session.suspicious_hosts.size()) {
     // A host became suspicious retroactively: transactions already rejected
     // may be related now.  Refilter from the start — the only O(n) event,
@@ -425,8 +449,8 @@ void OnlineDetector::maintain_scope(Session& session) {
     session.scope_eval_valid = false;
     ++stats_.scope_rescans;
   }
-  for (; session.scope_consumed < txns.size(); ++session.scope_consumed) {
-    const auto& txn = txns[session.scope_consumed];
+  for (; session.scope_consumed < session.log.size(); ++session.scope_consumed) {
+    const auto& txn = session.log[session.scope_consumed];
     if (clue_related(txn, session.suspicious_hosts) && session.scoped.add(txn)) {
       const std::size_t bytes = approx_txn_bytes(txn);
       session.scoped_bytes += bytes;
@@ -438,7 +462,6 @@ void OnlineDetector::maintain_scope(Session& session) {
 std::optional<Alert> OnlineDetector::classify_session(Session& session,
                                                       const HttpTransaction& txn,
                                                       PayloadType trigger) {
-  const bool incremental = options_.scoring == ScoringMode::kIncremental;
   auto verdict_span = timer_.span(obs_.stage_verdict_ns);
   dm::obs::ScopedTraceSpan verdict_tspan(dm::obs::TraceOp::kVerdict);
 
@@ -449,7 +472,7 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
   // the session was terminated).  Skipping is therefore alert-equivalent
   // to re-scoring.  Failed queries clear scope_eval_valid, so a faulting
   // classifier is retried on every update, never silently skipped.
-  if (incremental && session.scope_eval_valid &&
+  if (session.scope_eval_valid &&
       session.scoped.transaction_count() == session.scope_eval_txns) {
     ++stats_.queries_skipped_unchanged;
     verdict_span.cancel();
@@ -458,15 +481,8 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
 
   auto wcg_span = timer_.span(obs_.stage_wcg_build_ns);
   dm::obs::ScopedTraceSpan wcg_tspan(dm::obs::TraceOp::kWcgBuild);
-  Wcg rebuilt;  // from-scratch mode only
-  const Wcg* wcg = nullptr;
-  if (incremental) {
-    wcg = &session.scoped.current();  // folds the pending delta
-  } else {
-    rebuilt = potential_infection_wcg(session);
-    wcg = &rebuilt;
-  }
-  wcg_tspan.set_arg(wcg->node_count());
+  const Wcg& wcg = session.scoped.current();  // folds the pending delta
+  wcg_tspan.set_arg(wcg.node_count());
   wcg_tspan.end();
   wcg_span.stop();
 
@@ -474,8 +490,8 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
     session.scope_eval_txns = session.scoped.transaction_count();
     session.scope_eval_valid = true;
   };
-  if (wcg->node_count() < 2) {
-    if (incremental) mark_evaluated();  // deterministic outcome: no query
+  if (wcg.node_count() < 2) {
+    mark_evaluated();  // deterministic outcome: no query
     verdict_span.cancel();  // nothing was classified
     return std::nullopt;
   }
@@ -486,19 +502,9 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
   double score = 0.0;
   try {
     if (options_.classifier_fault_hook) options_.classifier_fault_hook(txn);
-    if (options_.scorer) {
-      // Serving seam: the installed scorer replaces the bound detector (it
-      // may swap models between queries).  The cache stays valid across
-      // swaps — graph-metric extraction is model-independent.  The scorer
-      // stamps the pinned model version into the ambient trace context.
-      score = options_.scorer->score(
-          *wcg, incremental ? &session.feature_cache : nullptr);
-    } else {
-      dm::obs::trace_set_model_version(
-          static_cast<std::uint32_t>(detector_->forest().model_version()));
-      score = incremental ? detector_->score(*wcg, &session.feature_cache)
-                          : detector_->score_from_scratch(*wcg);
-    }
+    // The cache stays valid across a serving scorer's model swaps —
+    // graph-metric extraction is model-independent.
+    score = scorer_->score(wcg, &session.feature_cache);
   } catch (const std::exception& e) {
     ++stats_.classifier_failures;
     session.scope_eval_valid = false;  // retry on the next update
@@ -512,7 +518,7 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
                           "online: classifier failure quarantined");
     return std::nullopt;
   }
-  if (incremental) mark_evaluated();
+  mark_evaluated();
   obs_.detect_verdicts.add(1);
   dm::obs::trace_instant(dm::obs::TraceOp::kVerdictScore,
                          score_microunits(score));
@@ -528,7 +534,7 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
   // observation of (WCG, label-as-classified).
   const bool infection = score >= options_.decision_threshold;
   if (options_.verdict_tap) {
-    options_.verdict_tap(*wcg, score, infection, txn.request.ts_micros);
+    options_.verdict_tap(wcg, score, infection, txn.request.ts_micros);
   }
   if (!infection) return std::nullopt;
 
@@ -544,8 +550,8 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
   alert.trigger_payload = session.clue_payload != dm::http::PayloadType::kNone
                               ? session.clue_payload
                               : trigger;
-  alert.wcg_order = wcg->node_count();
-  alert.wcg_size = wcg->edge_count();
+  alert.wcg_order = wcg.node_count();
+  alert.wcg_size = wcg.edge_count();
   session.alerted = true;  // paper: the corresponding session is terminated
   ++stats_.alerts;
   obs_.detect_alerts.add(1);
@@ -598,7 +604,6 @@ void OnlineDetector::erase_session(
   lru_unlink(session);
   bytes_pinned_ -= session.approx_bytes;
   sess_obs_.bytes_pinned.add(-static_cast<std::int64_t>(session.approx_bytes));
-  obs_.detect_active_sessions.add(-1);
   sess_obs_.resident.add(-1);
   switch (cause) {
     case EvictCause::kIdle:

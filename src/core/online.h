@@ -34,25 +34,13 @@
 
 namespace dm::core {
 
-/// How classify_session obtains the potential-infection WCG and its score.
-enum class ScoringMode {
-  /// Hot path: per-session scoped builder appended as clue-related
-  /// transactions arrive (full rescan only when suspicious_hosts grows),
-  /// graph metrics cached on topology version, flattened ERF.  Produces
-  /// bit-identical scores and alerts to kFromScratch.
-  kIncremental,
-  /// Reference path: rebuild the scoped WCG from all session transactions,
-  /// uncached extraction, pointer-based forest — on every update.  Kept for
-  /// equivalence tests and the bench_online_hotpath A/B.
-  kFromScratch,
-};
-
 /// Classifier seam for the scoring hot path.  The engine's default is the
 /// constructor-bound Detector; a serving layer (src/serve) installs an
 /// implementation that scores through an RCU-pinned, hot-swappable model
 /// instead.  Implementations must be deterministic in the WCG — identical
 /// graphs must yield identical scores, the property every alert-identity
-/// fence (sharded determinism, incremental-vs-rebuild, no-op swap) rests on.
+/// fence (sharded determinism, the reference-engine oracle, no-op swap)
+/// rests on.
 class WcgScorer {
  public:
   virtual ~WcgScorer() = default;
@@ -99,11 +87,8 @@ struct OnlineOptions {
   /// the WCG under test is far from the corpus prior; the clue gate, not
   /// the threshold, carries the false-positive control (§V-B).
   double decision_threshold = 0.4;
-  /// Scoring implementation; both modes yield identical alert sets.
-  ScoringMode scoring = ScoringMode::kIncremental;
   /// Resident session-state budget; see SessionBudget.
   SessionBudget budget;
-  FeatureExtractorOptions features;
   /// Fault-injection seam: invoked (when set) right before every classifier
   /// query, inside the engine's failure isolation.  An exception thrown here
   /// — or by feature extraction / the classifier itself — is recorded as a
@@ -117,9 +102,8 @@ struct OnlineOptions {
   dm::obs::MetricsRegistry* metrics = nullptr;
   dm::obs::ClockFn clock = nullptr;
   /// When set, classify_session queries this scorer instead of the
-  /// constructor-bound detector (both ScoringModes; the scorer decides how
-  /// to use the cache).  Exceptions it throws are quarantined exactly like
-  /// detector failures.
+  /// constructor-bound detector (the scorer decides how to use the cache).
+  /// Exceptions it throws are quarantined exactly like detector failures.
   std::shared_ptr<WcgScorer> scorer;
   /// Verdict tap: invoked after every *completed* classifier query with the
   /// scored WCG, its score, the hard decision at decision_threshold, and
@@ -171,13 +155,18 @@ struct OnlineStats {
   /// Sessions evicted by the SessionBudget (LRU-first, both causes); always
   /// zero when the budget is unbounded.
   std::size_t sessions_evicted = 0;
-  // Incremental-mode diagnostics (zero under ScoringMode::kFromScratch):
+  // Hot-path diagnostics:
   /// Scope refilters forced by suspicious_hosts growing (a host implicated
   /// retroactively re-admits earlier transactions).
   std::size_t scope_rescans = 0;
   /// Classifier queries skipped because the scoped WCG was unchanged since
   /// the last completed evaluation (identical input -> identical verdict).
   std::size_t queries_skipped_unchanged = 0;
+
+  /// Field-wise sum: the one place that lists every counter (the sharded
+  /// engine aggregates its shards through it).
+  OnlineStats& operator+=(const OnlineStats& other) noexcept;
+  friend bool operator==(const OnlineStats&, const OnlineStats&) = default;
 };
 
 class OnlineDetector {
@@ -206,14 +195,17 @@ class OnlineDetector {
   std::size_t active_sessions() const noexcept { return sessions_.size(); }
   /// Approximate bytes pinned by resident session state — the quantity
   /// SessionBudget::max_bytes caps (accounting estimate: transaction
-  /// payloads in both builders plus a fixed per-session overhead).
+  /// payloads in the session log and the scoped builder plus a fixed
+  /// per-session overhead).
   std::size_t session_bytes_pinned() const noexcept { return bytes_pinned_; }
 
  private:
   struct Session {
     std::string key;
     std::string client;
-    WcgBuilder builder;
+    /// Every transaction of the session in stream order, minus the ones a
+    /// WcgBuilder would weed (trusted vendor, no server host).
+    std::vector<dm::http::HttpTransaction> log;
     std::set<std::string> hosts;            // hosts seen in this session
     std::optional<std::string> session_id;  // sticky once discovered
     std::uint64_t last_activity = 0;
@@ -236,13 +228,13 @@ class OnlineDetector {
     std::uint64_t clue_fired_ns = 0;
     bool clue_latency_recorded = false;
 
-    // --- Incremental-scoring state (ScoringMode::kIncremental only) ------
+    // --- Scoring state ---------------------------------------------------
     /// Delta-maintained scoped builder: exactly the clue-related subsequence
-    /// of `builder`'s transactions, appended as they arrive so the first
-    /// post-clue verdict needs no O(n) backfill.
+    /// of `log`, appended as transactions arrive so the first post-clue
+    /// verdict needs no O(n) backfill.
     WcgBuilder scoped;
-    /// How many of `builder`'s transactions have been filtered into
-    /// `scoped`; the suffix beyond it is the pending delta.
+    /// How many of `log`'s transactions have been filtered into `scoped`;
+    /// the suffix beyond it is the pending delta.
     std::size_t scope_consumed = 0;
     /// |suspicious_hosts| when the scope was last filtered.  Growth means a
     /// host was implicated retroactively, so earlier transactions may now
@@ -276,7 +268,7 @@ class OnlineDetector {
 
     // --- Budgeted-lifecycle state (DESIGN.md §15) ------------------------
     /// Approximate resident bytes attributed to this session (base overhead
-    /// + payload bytes in `builder` + payload bytes in `scoped`).
+    /// + payload bytes in `log` + payload bytes in `scoped`).
     std::size_t approx_bytes = 0;
     /// The `scoped` builder's share of approx_bytes, released and re-grown
     /// across scope rescans.
@@ -294,10 +286,7 @@ class OnlineDetector {
   /// Why a session left the map; each cause has its own dm.session.* counter.
   enum class EvictCause { kIdle, kAlerted, kBudgetSessions, kBudgetBytes };
 
-  /// Builds the potential-infection WCG for a clue-bearing session.
-  Wcg potential_infection_wcg(const Session& session) const;
-
-  /// Incremental mode: folds new transactions into `session.scoped`,
+  /// Folds new `log` transactions into `session.scoped`,
   /// refiltering from scratch when suspicious_hosts grew.  Called on every
   /// observe() so the work is amortized across the stream instead of
   /// landing on the first post-clue verdict.
@@ -328,7 +317,9 @@ class OnlineDetector {
   void lru_unlink(Session& session) noexcept;
   void pin_bytes(Session& session, std::size_t bytes) noexcept;
 
-  std::shared_ptr<const Detector> detector_;
+  /// options.scorer, or the bound Detector when none is installed;
+  /// classify_session's single scoring call.
+  std::shared_ptr<WcgScorer> scorer_;
   OnlineOptions options_;
   dm::obs::StageTimer timer_;      // options_.clock or the steady clock
   dm::obs::PipelineMetrics obs_;   // handles into options_.metrics or global
@@ -339,8 +330,8 @@ class OnlineDetector {
   /// consume the log budget of every other detector.  Makes the class
   /// non-movable, which is fine: shards construct their detector in place.
   dm::util::EveryN classifier_failure_gate_{128};
-  /// One immutable BuilderOptions shared by every session's two builders —
-  /// at a million sessions the per-builder copy (it contains the whole
+  /// One immutable BuilderOptions shared by every session's scoped builder
+  /// — at a million sessions the per-builder copy (it contains the whole
   /// trusted-vendor whitelist) would dominate memory.
   std::shared_ptr<const BuilderOptions> shared_builder_options_;
   std::map<std::string, Session> sessions_;  // key -> state

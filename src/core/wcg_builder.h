@@ -111,7 +111,7 @@ class WcgBuilder {
   WcgBuilder();
   explicit WcgBuilder(BuilderOptions options);
   /// Shares immutable options across builders.  At a million live sessions
-  /// (each holding two builders) a per-builder BuilderOptions copy — which
+  /// (each holding a builder) a per-builder BuilderOptions copy — which
   /// contains the whole TrustedVendors whitelist — dominates session
   /// memory; the online detector builds the options once and hands every
   /// session this shared handle instead.  Null falls back to the default.

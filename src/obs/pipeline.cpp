@@ -15,7 +15,6 @@ PipelineMetrics PipelineMetrics::of(MetricsRegistry& reg) {
       reg.counter("dm.detect.clues"),
       reg.counter("dm.detect.verdicts"),
       reg.counter("dm.detect.alerts"),
-      reg.gauge("dm.detect.active_sessions"),
       reg.histogram("dm.stage.observe_ns"),
       reg.histogram("dm.stage.wcg_build_ns"),
       reg.histogram("dm.stage.feature_extract_ns"),

@@ -49,7 +49,6 @@ struct PipelineMetrics {
   Counter& detect_clues;      // infection clues fired
   Counter& detect_verdicts;   // completed ERF verdicts (scored, not failed)
   Counter& detect_alerts;     // alerts issued
-  Gauge& detect_active_sessions;  // live sessions (additive across shards)
   // Stage-2 latency (per transaction / per query).
   Histogram& stage_observe_ns;          // whole observe() call
   Histogram& stage_wcg_build_ns;        // potential-infection WCG construction

@@ -283,18 +283,7 @@ std::vector<dm::core::Alert> ShardedOnlineEngine::merged_alerts() const {
 
 dm::core::OnlineStats ShardedOnlineEngine::aggregated_stats() const {
   dm::core::OnlineStats total;
-  for (const auto& shard : shards_) {
-    const auto& s = shard->detector.stats();
-    total.transactions_seen += s.transactions_seen;
-    total.transactions_weeded += s.transactions_weeded;
-    total.clues_fired += s.clues_fired;
-    total.classifier_queries += s.classifier_queries;
-    total.classifier_failures += s.classifier_failures;
-    total.alerts += s.alerts;
-    total.sessions_opened += s.sessions_opened;
-    total.sessions_expired += s.sessions_expired;
-    total.sessions_evicted += s.sessions_evicted;
-  }
+  for (const auto& shard : shards_) total += shard->detector.stats();
   return total;
 }
 

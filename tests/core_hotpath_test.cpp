@@ -2,22 +2,29 @@
 //   * WcgBuilder::current() must equal WcgBuilder::build() bitwise after
 //     every single append — including the retroactive events (new exploit
 //     download, origin invalidation) that force a transparent re-fold;
-//   * OnlineDetector in ScoringMode::kIncremental must produce the same
-//     alert set, score-bit-for-score-bit, as ScoringMode::kFromScratch,
-//     including when a host is implicated retroactively (scope rescan);
-//   * the sharded engine (incremental shards) must match the sequential
-//     from-scratch reference at 1/2/8 shards.
+//   * OnlineDetector — sequential and sharded at 1/2/8 shards — must
+//     produce the alert set of the naive reference engine
+//     (reference_online.h), score bit for score bit, on mixed traces and
+//     the 18-family catalog, including when a host is implicated
+//     retroactively (scope rescan); the shard aggregate must match the
+//     sequential engine's counters;
+//   * the fence itself must fail on an injected divergence.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
-#include <tuple>
+#include <string>
+#include <utility>
 
 #include "core/online.h"
 #include "core/trainer.h"
 #include "core/wcg_builder.h"
+#include "reference_online.h"
 #include "runtime/sharded_online.h"
 #include "synth/dataset.h"
+#include "synth/families.h"
+#include "synth/generator.h"
 
 namespace dm::core {
 namespace {
@@ -182,7 +189,8 @@ TEST(HotpathBuilderTest, OutOfOrderTimestampsResortExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Online-engine equivalence: incremental vs from-scratch scoring.
+// Online-engine fences against the naive reference engine
+// (tests/reference_online.h).
 // ---------------------------------------------------------------------------
 
 const Detector& shared_detector() {
@@ -205,11 +213,18 @@ std::shared_ptr<const Detector> shared_detector_ptr() {
   return ptr;
 }
 
-OnlineOptions mode_options(ScoringMode mode) {
+OnlineOptions online_options(std::uint32_t redirect_chain_threshold = 2) {
   OnlineOptions options;
-  options.redirect_chain_threshold = 2;
-  options.scoring = mode;
+  options.redirect_chain_threshold = redirect_chain_threshold;
   return options;
+}
+
+std::vector<HttpTransaction> time_ordered(std::vector<HttpTransaction> stream) {
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const HttpTransaction& a, const HttpTransaction& b) {
+                     return a.request.ts_micros < b.request.ts_micros;
+                   });
+  return stream;
 }
 
 /// Mixed multi-family trace, episodes staggered onto one clock.
@@ -236,55 +251,107 @@ std::vector<HttpTransaction> mixed_trace(std::uint64_t seed) {
     }
     start += 400'000;
   }
-  std::stable_sort(stream.begin(), stream.end(),
-                   [](const HttpTransaction& a, const HttpTransaction& b) {
-                     return a.request.ts_micros < b.request.ts_micros;
-                   });
-  return stream;
+  return time_ordered(std::move(stream));
 }
 
-using AlertKey = std::tuple<std::uint64_t, std::string, std::string,
-                            std::uint64_t, std::string, std::size_t, std::size_t>;
-
-AlertKey key_of(const Alert& alert) {
-  // Scores compared through their bit patterns: the two modes must agree
-  // exactly, not approximately.
-  return {alert.ts_micros,    alert.session_key,
-          alert.client,       std::bit_cast<std::uint64_t>(alert.score),
-          alert.trigger_host, alert.wcg_order,
-          alert.wcg_size};
-}
-
-std::vector<AlertKey> sorted_keys(const std::vector<Alert>& alerts) {
-  std::vector<AlertKey> keys;
-  keys.reserve(alerts.size());
-  for (const auto& alert : alerts) keys.push_back(key_of(alert));
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-TEST(HotpathOnlineTest, IncrementalAlertsMatchFromScratchOnMixedTrace) {
-  const auto stream = mixed_trace(7100);
-
-  OnlineDetector incremental(shared_detector(),
-                             mode_options(ScoringMode::kIncremental));
-  OnlineDetector reference(shared_detector(),
-                           mode_options(ScoringMode::kFromScratch));
-  for (const auto& txn : stream) {
-    incremental.observe(txn);
-    reference.observe(txn);
+/// Every family of the 18-family catalog, 3 episodes each, one client per
+/// episode.
+std::vector<HttpTransaction> catalog_trace() {
+  std::vector<HttpTransaction> stream;
+  std::size_t c = 0;
+  for (const auto& family : dm::synth::trace_family_catalog()) {
+    for (std::uint64_t seed = 7300; seed < 7303; ++seed, ++c) {
+      const std::string client = "10.73." + std::to_string(c / 200) + "." +
+                                 std::to_string(2 + c % 200);
+      for (auto& txn : dm::synth::episode_for_family(seed, family).transactions) {
+        txn.client_host = client;
+        stream.push_back(std::move(txn));
+      }
+    }
   }
+  return time_ordered(std::move(stream));
+}
 
-  EXPECT_GT(reference.alerts().size(), 0u);  // the corpus must exercise alerts
-  EXPECT_EQ(sorted_keys(incremental.alerts()), sorted_keys(reference.alerts()));
-  EXPECT_EQ(incremental.stats().clues_fired, reference.stats().clues_fired);
-  // The hot path must actually be exercised: scoring work was skipped or
-  // served from the delta, never silently routed to full rebuilds.
-  EXPECT_LE(incremental.stats().classifier_queries,
-            reference.stats().classifier_queries);
+/// The fence's one comparison: alert sets equal bit for bit, score bits
+/// included.
+void expect_same_alerts(const std::vector<Alert>& engine,
+                        const std::vector<Alert>& reference,
+                        const std::string& what) {
+  EXPECT_EQ(reference::alert_keys(engine), reference::alert_keys(reference))
+      << what << ": alert set diverged from the reference engine";
+}
+
+/// Counters that depend only on each client's own transactions: all but
+/// expiry and eviction, whose timing follows the timestamps each shard's
+/// wheel happens to see.
+OnlineStats per_client(OnlineStats stats) {
+  stats.sessions_expired = 0;
+  stats.sessions_evicted = 0;
+  return stats;
+}
+
+struct ShardedRun {
+  std::vector<Alert> alerts;
+  OnlineStats stats;
+};
+
+ShardedRun run_sharded(const std::vector<HttpTransaction>& stream,
+                       const OnlineOptions& options, std::size_t shards) {
+  dm::runtime::ShardedOptions sharded;
+  sharded.num_shards = shards;
+  sharded.online = options;
+  dm::runtime::ShardedOnlineEngine engine(shared_detector_ptr(), sharded);
+  for (const auto& txn : stream) engine.observe(txn);
+  engine.finish();
+  return {engine.merged_alerts(), engine.aggregated_stats()};
+}
+
+/// Runs `stream` through the reference engine, the sequential engine, and
+/// the sharded engine at 1/2/8 shards.  Every engine must reproduce the
+/// reference's non-empty alert set, and each shard aggregate must equal the
+/// sequential engine's per-client counters.  Returns the sequential stats.
+OnlineStats expect_engines_match_reference(
+    const std::vector<HttpTransaction>& stream, const OnlineOptions& options) {
+  const auto reference =
+      reference::run_reference(shared_detector(), options, stream);
+  EXPECT_GT(reference.alerts().size(), 0u) << "vacuous fence: no alerts";
+
+  OnlineDetector sequential(shared_detector(), options);
+  for (const auto& txn : stream) sequential.observe(txn);
+  expect_same_alerts(sequential.alerts(), reference.alerts(), "sequential");
+  EXPECT_EQ(sequential.stats().clues_fired, reference.clues_fired());
+  // The oracle never skips a query; the engine skips unchanged scopes.
+  EXPECT_LE(sequential.stats().classifier_queries, reference.verdicts().size());
+
+  for (const std::size_t shards : {1u, 2u, 8u}) {
+    const auto run = run_sharded(stream, options, shards);
+    const std::string what = std::to_string(shards) + " shards";
+    expect_same_alerts(run.alerts, reference.alerts(), what);
+    EXPECT_EQ(per_client(run.stats), per_client(sequential.stats()))
+        << what << ": aggregated stats diverged from the sequential engine";
+  }
+  return sequential.stats();
+}
+
+TEST(HotpathOnlineTest, EnginesMatchReferenceOnMixedTrace7100) {
+  const auto stats = expect_engines_match_reference(mixed_trace(7100),
+                                                    online_options());
   // Post-clue scope expansion implicates hosts retroactively in this corpus,
-  // so the score-bit equality above covers the rescan path too.
-  EXPECT_GE(incremental.stats().scope_rescans, 1u);
+  // so the score-bit equality covers the rescan path too, and the shard
+  // aggregate is checked on a nonzero scope_rescans.
+  EXPECT_GE(stats.scope_rescans, 1u);
+}
+
+TEST(HotpathOnlineTest, EnginesMatchReferenceOnMixedTrace7200) {
+  expect_engines_match_reference(mixed_trace(7200), online_options());
+}
+
+TEST(HotpathOnlineTest, EnginesMatchReferenceOnFamilyCatalogAtL2AndL3) {
+  const auto stream = catalog_trace();
+  for (const std::uint32_t l : {2u, 3u}) {
+    SCOPED_TRACE("redirect_chain_threshold " + std::to_string(l));
+    expect_engines_match_reference(stream, online_options(l));
+  }
 }
 
 TEST(HotpathOnlineTest, RetroactiveSuspiciousHostRescansAndStaysIdentical) {
@@ -318,53 +385,93 @@ TEST(HotpathOnlineTest, RetroactiveSuspiciousHostRescansAndStaysIdentical) {
   callback.request.headers.add("Referer", "http://drop.example/update.exe");
   stream.push_back(callback);
 
+  // A further fetch from the implicated drop host grows the scope without a
+  // rescan, so the engine must re-score, not skip.
+  stream.push_back(make_txn("drop.example", "/module", at(7)));
+
   // Unrelated noise afterwards: scope unchanged -> queries skipped.
   for (int i = 0; i < 5; ++i) {
     stream.push_back(make_txn("news.example", "/a" + std::to_string(i),
-                              at(7 + static_cast<std::uint64_t>(i))));
+                              at(8 + static_cast<std::uint64_t>(i))));
   }
 
   // Keep the session alive past the clue (an alert would terminate it
   // before the retroactive implication happens) so the rescan and the
-  // unchanged-scope skip are both reached deterministically.
-  auto inc_options = mode_options(ScoringMode::kIncremental);
-  inc_options.decision_threshold = 2.0;
-  auto ref_options = mode_options(ScoringMode::kFromScratch);
-  ref_options.decision_threshold = 2.0;
+  // unchanged-scope skip are both reached deterministically.  With no
+  // alert to compare, the fence compares every verdict's score bits.
+  auto options = online_options();
+  options.decision_threshold = 2.0;
+  struct Scored {
+    std::uint64_t ts_micros;
+    std::uint64_t score_bits;
+    std::size_t wcg_size;
+  };
+  std::vector<Scored> scored;
+  options.verdict_tap = [&](const Wcg& wcg, double score, bool,
+                            std::uint64_t ts) {
+    scored.push_back({ts, std::bit_cast<std::uint64_t>(score), wcg.edge_count()});
+  };
+  OnlineDetector engine(shared_detector(), options);
+  for (const auto& txn : stream) engine.observe(txn);
+  const auto reference =
+      reference::run_reference(shared_detector(), options, stream);
 
-  OnlineDetector incremental(shared_detector(), inc_options);
-  OnlineDetector reference(shared_detector(), ref_options);
-  for (const auto& txn : stream) {
-    incremental.observe(txn);
-    reference.observe(txn);
+  EXPECT_GE(engine.stats().scope_rescans, 1u);
+  EXPECT_GE(engine.stats().queries_skipped_unchanged, 1u);
+  EXPECT_EQ(engine.stats().clues_fired, 1u);
+  EXPECT_EQ(reference.clues_fired(), 1u);
+  // The oracle scores every post-clue update; the engine skips updates
+  // that leave the scope unchanged.  So each oracle verdict must carry the
+  // score bits and WCG size of the engine's verdict at the same update, or
+  // of the engine's latest earlier one where it skipped.
+  ASSERT_FALSE(scored.empty());
+  std::size_t matched = 0;
+  for (const auto& verdict : reference.verdicts()) {
+    if (matched < scored.size() &&
+        scored[matched].ts_micros == verdict.ts_micros) {
+      ++matched;
+    }
+    ASSERT_GT(matched, 0u) << "reference scored before the engine did";
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(verdict.score),
+              scored[matched - 1].score_bits)
+        << "update at " << verdict.ts_micros;
+    EXPECT_EQ(verdict.wcg_size, scored[matched - 1].wcg_size)
+        << "update at " << verdict.ts_micros;
   }
+  EXPECT_EQ(matched, scored.size()) << "engine verdicts the oracle never made";
+  EXPECT_LT(scored.size(), reference.verdicts().size());
 
-  EXPECT_GE(incremental.stats().scope_rescans, 1u);
-  EXPECT_GE(incremental.stats().queries_skipped_unchanged, 1u);
-  EXPECT_EQ(incremental.stats().clues_fired, 1u);
-  EXPECT_EQ(reference.stats().clues_fired, 1u);
-  EXPECT_EQ(sorted_keys(incremental.alerts()), sorted_keys(reference.alerts()));
-}
-
-TEST(HotpathOnlineTest, ShardedIncrementalMatchesFromScratchAt1_2_8Shards) {
-  const auto stream = mixed_trace(7200);
-
-  OnlineDetector reference(shared_detector(),
-                           mode_options(ScoringMode::kFromScratch));
-  for (const auto& txn : stream) reference.observe(txn);
-  const auto expected = sorted_keys(reference.alerts());
-  EXPECT_GT(expected.size(), 0u);
-
+  // The only stream here that skips queries: the shard aggregate must sum
+  // queries_skipped_unchanged too.
+  options.verdict_tap = nullptr;
   for (const std::size_t shards : {1u, 2u, 8u}) {
-    dm::runtime::ShardedOptions options;
-    options.num_shards = shards;
-    options.online = mode_options(ScoringMode::kIncremental);
-    dm::runtime::ShardedOnlineEngine engine(shared_detector_ptr(), options);
-    for (const auto& txn : stream) engine.observe(txn);
-    engine.finish();
-    EXPECT_EQ(sorted_keys(engine.merged_alerts()), expected)
+    EXPECT_EQ(per_client(run_sharded(stream, options, shards).stats),
+              per_client(engine.stats()))
         << shards << " shards";
   }
+}
+
+TEST(HotpathOnlineTest, FenceFailsOnAnInjectedDivergence) {
+  // Feed the reference the stream minus the transaction that tipped one
+  // session into its alert: the comparison every fence uses must object.
+  const auto stream = mixed_trace(7100);
+  OnlineDetector engine(shared_detector(), online_options());
+  for (const auto& txn : stream) engine.observe(txn);
+  ASSERT_FALSE(engine.alerts().empty());
+  const Alert& alert = engine.alerts().front();
+  auto tampered = stream;
+  const auto trigger = std::find_if(
+      tampered.begin(), tampered.end(), [&](const HttpTransaction& txn) {
+        return txn.client_host == alert.client &&
+               txn.request.ts_micros == alert.ts_micros;
+      });
+  ASSERT_NE(trigger, tampered.end());
+  tampered.erase(trigger);
+  const auto reference =
+      reference::run_reference(shared_detector(), online_options(), tampered);
+  EXPECT_NONFATAL_FAILURE(
+      expect_same_alerts(engine.alerts(), reference.alerts(), "tampered"),
+      "tampered: alert set diverged");
 }
 
 }  // namespace
