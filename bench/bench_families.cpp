@@ -210,10 +210,12 @@ int main(int argc, char** argv) {
               "clues", "c2v p50 us", "c2v p95 us", "shard=seq");
 
   bool all_sharded_identical = true;
+  std::size_t compared_alerts = 0;
   std::vector<FamilyResult> results;
   for (const auto& family : dm::synth::trace_family_catalog()) {
     auto r = evaluate_family(family, seed, episodes, background, detector);
     all_sharded_identical = all_sharded_identical && r.sharded_identical;
+    compared_alerts += r.family_alerts + r.background_alerts;
     std::printf("%-16s %-10s %4s %7zu  %-7s %6.1f%%  %8.1f%% %6llu  "
                 "%11.1f %11.1f  %s\n",
                 family.name.c_str(),
@@ -232,9 +234,14 @@ int main(int argc, char** argv) {
                          "sequential reference for at least one family\n");
     return 1;
   }
+  if (compared_alerts == 0) {
+    std::fprintf(stderr, "\nFATAL: no family raised an alert — the "
+                         "sequential vs 8-shard identity check is vacuous\n");
+    return 1;
+  }
   std::printf("\nalert sets identical sequential vs 8-shard for all %zu "
-              "families\n",
-              results.size());
+              "families (%zu alerts compared)\n",
+              results.size(), compared_alerts);
 
   // Headline summary the EXPERIMENTS.md claims rest on: benign families must
   // hold the precision floor, and at least one adversarial family must

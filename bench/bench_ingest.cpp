@@ -12,10 +12,10 @@
 // 1.25M distinct clients fills the detector past a 1.05M-session budget;
 // the bench asserts resident sessions peak >= 1M, that RSS stays flat once
 // the budget caps the map (fill-point RSS vs end-of-run RSS), and that the
-// LRU evictions balance exactly (opened == resident + evicted).  The
-// timing-wheel expiry makes the per-transaction cost independent of the
-// resident count — this bench is what the O(all-sessions) scan could not
-// finish.
+// LRU evictions balance exactly (opened == resident + evicted).  Idle
+// expiry pops a deadline heap only when a deadline is due, so the
+// per-transaction cost is independent of the resident count — this bench is
+// what the O(all-sessions) scan could not finish.
 //
 // Phase 3 — budget determinism fence.  On a trace whose live-session
 // concurrency FITS the budget, the budgeted engine (sequential and sharded
@@ -132,7 +132,7 @@ void decode_rep(DecodeResult& r, std::uint64_t bytes, Fn&& decode) {
 
 /// Minimal single-transaction session opener: distinct client per index, no
 /// clue material, so the hot path measured is exactly session create +
-/// weeding + budget/wheel upkeep.
+/// weeding + budget/deadline-heap upkeep.
 HttpTransaction make_fill_txn(std::size_t i, std::uint64_t ts_micros) {
   HttpTransaction txn;
   txn.client_host = "10." + std::to_string((i >> 16) & 0xff) + "." +

@@ -34,10 +34,10 @@ fi
 # --- instrumented sweeps: the labelled suites ------------------------------
 # tsan watches the concurrent runtime, hot-swap, and parallel training;
 # asan watches the fuzz fences, fault injection, and the store's recovery
-# path; perf adds the budgeted session-lifecycle fences (timing wheel, LRU
-# eviction, sharded determinism); synth adds the trace-family determinism
-# and adversarial detection-path fences.  Both sanitizers run the same label
-# union so nothing labelled escapes either.
+# path; perf adds the budgeted session-lifecycle fences (idle expiry, LRU
+# eviction, sharded determinism); synth adds the trace-family determinism,
+# adversarial detection-path and 18-family shard-identity fences.  Both
+# sanitizers run the same label union so nothing labelled escapes either.
 LABELS="obs|fault|train|serve|perf|synth"
 
 run cmake -B build-tsan -S . -DDM_SANITIZE=thread

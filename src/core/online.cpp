@@ -221,10 +221,10 @@ OnlineDetector::Session& OnlineDetector::find_or_create_session(
   Session& created = it->second;
   pin_bytes(created, kSessionBaseBytes + 2 * created.key.size());
   // File at the earliest possible expiry (first activity + timeout); later
-  // activity only pushes the true deadline out, and the wheel pop
-  // re-validates against last_activity before expiring.
-  created.wheel_deadline = txn.request.ts_micros + idle_timeout_micros_;
-  wheel_.schedule(created.key, created.wheel_deadline);
+  // activity only pushes the true deadline out, and expire_idle re-checks
+  // last_activity before erasing.
+  deadlines_.emplace(txn.request.ts_micros + idle_timeout_micros_,
+                     created.key);
   return created;
 }
 
@@ -414,17 +414,15 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction txn) {
   // latency never includes garbage collection (obs_timer_test fence).
   observe_span.stop();
   if (alert) {
-    // Paper: the corresponding session is terminated.  The pre-wheel engine
-    // erased alerted sessions in its end-of-observe scan; erasing here
-    // keeps that timing exactly without waiting for a wheel pop.
+    // Paper: the corresponding session is terminated — erased here, not
+    // left for its deadline to pop.
     erase_session(sessions_.find(session.key), EvictCause::kAlerted);
     // `session` is dangling from here on.
   }
-  // The wheel's next-due hint makes the idle sweep free until something can
-  // actually be due; the hint is a lower bound on every filed deadline, so
-  // any session the old per-observe scan would have expired now also opens
-  // this gate — erasure timing is unchanged.
-  if (wheel_.next_due_hint() <= now) expire_idle(now);
+  // Every session's filing is at or before its true deadline, so this gate
+  // opens whenever some session is past its timeout, and is one comparison
+  // otherwise, however far the clock jumped.
+  if (!deadlines_.empty() && deadlines_.top().first <= now) expire_idle(now);
   enforce_budget();
   return alert;
 }
@@ -563,16 +561,15 @@ void OnlineDetector::expire_idle(std::uint64_t now_micros) {
   // Timed in dm.session.expiry_ns — by design NOT part of the observe span
   // (obs_timer_test asserts verdict latency excludes this sweep).
   auto sweep_span = timer_.span(sess_obs_.expiry_ns);
-  due_keys_.clear();
-  wheel_.advance(now_micros, due_keys_);
-  for (const auto& key : due_keys_) {
+  while (!deadlines_.empty() && deadlines_.top().first <= now_micros) {
+    const std::string key = deadlines_.top().second;
+    deadlines_.pop();
     const auto it = sessions_.find(key);
-    if (it == sessions_.end()) continue;  // stale entry: erased by alert/budget
+    if (it == sessions_.end()) continue;  // stale: erased by alert or budget
     Session& session = it->second;
-    // Same idle test, verbatim, as the old full-map scan: the wheel only
-    // changes who gets *checked*, never who expires.  A session is filed at
-    // its earliest possible deadline, so every expired session is among the
-    // delivered candidates.
+    // Same idle test as a full scan of the map: the heap only changes who
+    // gets *checked*, never who expires.  A session is filed at or before
+    // its true deadline, so every expired session pops here.
     const double idle_s =
         now_micros >= session.last_activity
             ? static_cast<double>(now_micros - session.last_activity) / 1e6
@@ -581,19 +578,13 @@ void OnlineDetector::expire_idle(std::uint64_t now_micros) {
       erase_session(it, session.alerted ? EvictCause::kAlerted
                                         : EvictCause::kIdle);
     } else {
-      // Still live: activity moved the deadline since filing.  Lazy
-      // reinsert at the true deadline (clamped past `now` so a
-      // boundary-case deadline cannot thrash within this sweep).
-      session.wheel_deadline = std::max(
-          session.last_activity + idle_timeout_micros_, now_micros + 1);
-      wheel_.schedule(key, session.wheel_deadline);
+      // Still live: activity moved the deadline since filing.  Re-file at
+      // the true deadline, clamped past `now` so this loop terminates.
+      deadlines_.emplace(
+          std::max(session.last_activity + idle_timeout_micros_,
+                   now_micros + 1),
+          key);
     }
-  }
-  const std::uint64_t cascades = wheel_.cascades();
-  if (cascades != wheel_cascades_seen_) {
-    sess_obs_.wheel_cascades.add(
-        static_cast<std::int64_t>(cascades - wheel_cascades_seen_));
-    wheel_cascades_seen_ = cascades;
   }
   sweep_span.stop();
 }
@@ -612,7 +603,7 @@ void OnlineDetector::erase_session(
       break;
     case EvictCause::kAlerted:
       // Aggregated into sessions_expired for compatibility with the
-      // pre-wheel engine, which counted alerted erasures there.
+      // pre-budget engine, which counted alerted erasures there.
       ++stats_.sessions_expired;
       sess_obs_.evicted_alerted.add(1);
       break;
@@ -625,8 +616,8 @@ void OnlineDetector::erase_session(
       sess_obs_.evicted_budget_bytes.add(1);
       break;
   }
-  // The wheel entry (if any) goes stale and is skipped on pop — lazy
-  // deletion keeps erase O(log n) with no wheel search.
+  // The session's deadline stays filed and is skipped when it pops — lazy
+  // deletion keeps erase O(log n) with no heap search.
   sessions_.erase(it);
 }
 

@@ -20,10 +20,12 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <queue>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/detector.h"
-#include "core/timing_wheel.h"
 #include "core/wcg_builder.h"
 #include "http/session.h"
 #include "obs/flight_recorder.h"
@@ -183,11 +185,11 @@ class OnlineDetector {
   /// if this update tipped a session over the decision threshold.
   std::optional<Alert> observe(dm::http::HttpTransaction transaction);
 
-  /// Expires idle sessions relative to `now_micros`.  Driven by the timing
-  /// wheel: cost is O(sessions actually due), not O(all sessions), and
-  /// observe() only invokes it when the wheel's next-due hint has come up —
-  /// callers may still invoke it directly (the replayer does between
-  /// transactions; it is cheap when nothing is due).
+  /// Expires idle sessions relative to `now_micros`.  Pops the deadline
+  /// heap while its earliest deadline is due, so the cost is O(log n) per
+  /// session actually due, not O(all sessions).  observe() calls it only
+  /// when a deadline has come due; callers may also call it directly (it is
+  /// one comparison when nothing is due).
   void expire_idle(std::uint64_t now_micros);
 
   const OnlineStats& stats() const noexcept { return stats_; }
@@ -273,10 +275,6 @@ class OnlineDetector {
     /// The `scoped` builder's share of approx_bytes, released and re-grown
     /// across scope rescans.
     std::size_t scoped_bytes = 0;
-    /// Deadline this session is filed at in the timing wheel (earliest
-    /// possible expiry; activity after filing only pushes the true deadline
-    /// later, and the pop re-validates + re-files).
-    std::uint64_t wheel_deadline = 0;
     /// Intrusive LRU list by stream recency (std::map nodes are
     /// address-stable).  Head = least recently active = first evicted.
     Session* lru_prev = nullptr;
@@ -307,7 +305,8 @@ class OnlineDetector {
 
   // --- Budgeted session lifecycle (DESIGN.md §15) ------------------------
   /// Unlinks + erases one session, charging the right eviction counter and
-  /// releasing its pinned bytes.  The only way sessions leave the map.
+  /// releasing its pinned bytes.  The only way sessions leave the map; its
+  /// deadline stays in the heap and is dropped when it pops.
   void erase_session(std::map<std::string, Session>::iterator it,
                      EvictCause cause);
   /// Evicts LRU-first until both budget limits hold again.  Never evicts
@@ -338,13 +337,18 @@ class OnlineDetector {
   OnlineStats stats_;
   std::vector<Alert> alerts_;
   dm::obs::SessionMetrics sess_obs_;  // dm.session.* panel handles
-  /// Idle-expiry wheel over session keys; idle_timeout in micros is
-  /// precomputed (the double->int conversion happens once, and filing +
-  /// re-validation use the same value so deadlines are consistent).
-  TimingWheel wheel_;
+  /// Idle deadlines, earliest on top: (deadline micros, session key).  A
+  /// session is filed at first activity + timeout and re-filed by
+  /// expire_idle while still live, so its filing is never later than its
+  /// true deadline.  Erased sessions leave their filing behind (lazy
+  /// deletion).  Keys are never reused, so (deadline, key) is a total order
+  /// and pops are deterministic.  idle_timeout in micros is precomputed (the
+  /// double->int conversion happens once, so filing and re-filing agree).
+  std::priority_queue<std::pair<std::uint64_t, std::string>,
+                      std::vector<std::pair<std::uint64_t, std::string>>,
+                      std::greater<>>
+      deadlines_;
   std::uint64_t idle_timeout_micros_ = 0;
-  std::uint64_t wheel_cascades_seen_ = 0;  // for delta-publishing the counter
-  std::vector<std::string> due_keys_;      // advance() scratch, reused
   /// Intrusive LRU list endpoints (see Session::lru_prev/lru_next).
   Session* lru_head_ = nullptr;
   Session* lru_tail_ = nullptr;

@@ -42,7 +42,6 @@ SessionMetrics SessionMetrics::of(MetricsRegistry& reg) {
       reg.counter("dm.session.evicted_alerted"),
       reg.counter("dm.session.evicted_budget_sessions"),
       reg.counter("dm.session.evicted_budget_bytes"),
-      reg.counter("dm.session.wheel_cascades"),
       reg.histogram("dm.session.expiry_ns"),
   };
 }

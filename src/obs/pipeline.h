@@ -87,7 +87,6 @@ struct SessionMetrics {
   /// Budget evictions (LRU-first) by cause: session-count cap vs bytes cap.
   Counter& evicted_budget_sessions;  // dm.session.evicted_budget_sessions
   Counter& evicted_budget_bytes;     // dm.session.evicted_budget_bytes
-  Counter& wheel_cascades;  // dm.session.wheel_cascades — level promotions
   /// Expiry + budget-enforcement work per sweep — timed *outside*
   /// dm.stage.observe_ns so eviction cost never pollutes verdict latency
   /// (obs_timer_test holds that separation as a fence).

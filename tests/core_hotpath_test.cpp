@@ -282,8 +282,8 @@ void expect_same_alerts(const std::vector<Alert>& engine,
 }
 
 /// Counters that depend only on each client's own transactions: all but
-/// expiry and eviction, whose timing follows the timestamps each shard's
-/// wheel happens to see.
+/// expiry and eviction, whose timing follows the timestamps each shard
+/// happens to see.
 OnlineStats per_client(OnlineStats stats) {
   stats.sessions_expired = 0;
   stats.sessions_evicted = 0;

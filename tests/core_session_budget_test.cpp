@@ -1,38 +1,38 @@
 // Budgeted-session-lifecycle fences (DESIGN.md §15).
 //
-// The timing wheel and the LRU budget replaced the per-observe
+// The deadline heap and the LRU budget replaced the per-observe
 // O(all-sessions) scan, so these tests hold the replacement to the scan's
 // exact semantics:
 //
-//  * TimingWheelPropertyTest — the wheel against a naive deadline-set model
-//    under random schedule/advance interleavings: nothing expires late,
-//    nothing is delivered that was never filed, the next-due hint is a true
-//    lower bound, and the scheduled count balances.
 //  * SessionLifecycleModelTest — the whole engine against a brute-force
 //    model that re-applies the old full-scan expiry predicate after every
 //    event: resident set, opened count, and expired count must agree at
-//    every step, under random gaps that exercise wheel refiling.
+//    every step.  Three gap profiles: 0-40 s gaps (re-filing across the
+//    30 s join gap), mostly sub-second gaps (filing and sweeping within
+//    one second, where a late or lost filing shows), and occasional
+//    multi-day jumps (everything due at once).
 //  * SessionBudgetTest — determinism (same stream twice -> identical
 //    counters and alerts), the resident cap holding after every observe,
 //    per-cause conservation through the dm.session.* panel, and the
 //    budget-invisibility fence: on a trace whose live concurrency fits the
 //    budget, budgeted sequential and 1/2/8-shard engines reproduce the
-//    unbounded engine's alert set bit for bit.
+//    unbounded engine's alert set bit for bit — and that fence's
+//    comparison is shown to object to an injected divergence.
 #include "core/online.h"
 
 #include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <random>
-#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
-#include "core/timing_wheel.h"
 #include "core/trainer.h"
 #include "obs/metrics.h"
 #include "runtime/sharded_online.h"
@@ -62,91 +62,48 @@ std::shared_ptr<const Detector> shared_detector() {
 constexpr std::uint64_t kEpoch = 1'700'000'000ULL * 1'000'000;
 
 // ---------------------------------------------------------------------------
-// TimingWheel vs naive deadline-set model
-// ---------------------------------------------------------------------------
-
-TEST(TimingWheelPropertyTest, RandomInterleavingsMatchNaiveModel) {
-  for (std::uint64_t trial = 0; trial < 6; ++trial) {
-    std::mt19937_64 rng(1000 + trial);
-    TimingWheel wheel;
-    std::map<std::string, std::uint64_t> model;  // key -> filed deadline
-    std::uint64_t now = kEpoch;
-    std::uint64_t next_key = 0;
-
-    for (int step = 0; step < 600; ++step) {
-      if (rng() % 4 == 0) {
-        // Advance.  Mostly short hops; occasionally a giant jump that
-        // triggers the drain-everything catch-up path.
-        now += (rng() % 64 == 0) ? (std::uint64_t{1} << 41)
-                                 : rng() % 400'000'000;  // up to ~400 s
-        std::vector<std::string> due;
-        wheel.advance(now, due);
-
-        // No late expiry: every model entry at or past its deadline must be
-        // in the delivered set.
-        const std::set<std::string> delivered(due.begin(), due.end());
-        for (const auto& [key, deadline] : model) {
-          if (deadline <= now) {
-            ASSERT_TRUE(delivered.count(key))
-                << "trial " << trial << " step " << step << ": " << key
-                << " due at " << deadline << " missed at " << now;
-          }
-        }
-        // Caller-side re-validation, exactly like expire_idle: a delivered
-        // entry that is truly due leaves; an early pop (giant jump) is
-        // lazily re-filed at its unchanged deadline.  Anything delivered
-        // that the model never held (or held once but was delivered twice)
-        // is a phantom.
-        for (const auto& key : due) {
-          const auto it = model.find(key);
-          ASSERT_TRUE(it != model.end())
-              << "phantom or duplicate delivery of " << key;
-          if (it->second <= now) {
-            model.erase(it);
-          } else {
-            wheel.schedule(key, it->second);
-          }
-        }
-      } else {
-        // Schedule a fresh key: usually near-future, sometimes far-future
-        // (upper levels / overflow), sometimes already in the past.
-        std::uint64_t deadline;
-        switch (rng() % 8) {
-          case 0:
-            deadline = now - std::min<std::uint64_t>(now, rng() % 1'000'000);
-            break;
-          case 1:
-            deadline = now + (rng() % (std::uint64_t{1} << 36));
-            break;
-          default:
-            deadline = now + (rng() % 300'000'000);  // within ~5 min
-        }
-        const std::string key = "k" + std::to_string(next_key++);
-        wheel.schedule(key, deadline);
-        model.emplace(key, deadline);
-      }
-
-      ASSERT_EQ(wheel.scheduled(), model.size());
-      std::uint64_t min_deadline = UINT64_MAX;
-      for (const auto& [key, deadline] : model) {
-        min_deadline = std::min(min_deadline, deadline);
-      }
-      // The hint is a lower bound on every filed deadline (and exactly
-      // UINT64_MAX when nothing is filed), so skipping advance() while
-      // now < hint can never sit on a due entry.
-      ASSERT_LE(wheel.next_due_hint(), min_deadline);
-      if (model.empty()) {
-        ASSERT_EQ(wheel.next_due_hint(), UINT64_MAX);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Engine vs brute-force full-scan model
 // ---------------------------------------------------------------------------
 
-TEST(SessionLifecycleModelTest, WheelDrivenExpiryMatchesFullScanModel) {
+/// How far apart the lifecycle model's events are drawn.
+enum class GapProfile { kUpTo40s, kSubSecond, kMultiDayJumps };
+
+std::uint64_t draw_gap(GapProfile profile, std::mt19937_64& rng) {
+  switch (profile) {
+    case GapProfile::kUpTo40s:
+      break;
+    case GapProfile::kSubSecond:
+      if (rng() % 3 != 0) return rng() % 1'500'000;  // two in three: 0-1.5 s
+      break;
+    case GapProfile::kMultiDayJumps:
+      if (rng() % 50 == 0) {
+        return (2 + rng() % 5) * 86'400ULL * 1'000'000;  // 2-6 days
+      }
+      break;
+  }
+  return rng() % 40'000'000;  // 0-40 s: straddles the 30 s join gap
+}
+
+const char* profile_name(GapProfile profile) {
+  switch (profile) {
+    case GapProfile::kUpTo40s:
+      return "UpTo40s";
+    case GapProfile::kSubSecond:
+      return "SubSecond";
+    case GapProfile::kMultiDayJumps:
+      return "MultiDayJumps";
+  }
+  return "Unknown";
+}
+
+void PrintTo(GapProfile profile, std::ostream* os) {
+  *os << profile_name(profile);
+}
+
+class SessionLifecycleModelTest : public ::testing::TestWithParam<GapProfile> {
+};
+
+TEST_P(SessionLifecycleModelTest, ExpiryMatchesFullScanModel) {
   OnlineOptions options;
   options.redirect_chain_threshold = 2;
   OnlineDetector online(shared_detector(), options);
@@ -181,7 +138,7 @@ TEST(SessionLifecycleModelTest, WheelDrivenExpiryMatchesFullScanModel) {
   };
 
   for (int event = 0; event < 1500; ++event) {
-    now += rng() % 40'000'000;  // 0-40 s: straddles the 30 s join gap
+    now += draw_gap(GetParam(), rng);
     if (rng() % 10 == 0) {
       online.expire_idle(now);
       model_expire(now);
@@ -220,8 +177,8 @@ TEST(SessionLifecycleModelTest, WheelDrivenExpiryMatchesFullScanModel) {
         live.push_back(now);
         ++model_opened;
       }
-      // The wheel gate guarantees observe() ran the sweep if anything could
-      // be due, so the engine is scan-clean after every transaction.
+      // The deadline gate guarantees observe() ran the sweep if anything
+      // could be due, so the engine is scan-clean after every transaction.
       model_expire(now);
     }
 
@@ -237,6 +194,14 @@ TEST(SessionLifecycleModelTest, WheelDrivenExpiryMatchesFullScanModel) {
   EXPECT_GT(model_opened, kClients);
   EXPECT_GT(model_expired, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    GapProfiles, SessionLifecycleModelTest,
+    ::testing::Values(GapProfile::kUpTo40s, GapProfile::kSubSecond,
+                      GapProfile::kMultiDayJumps),
+    [](const ::testing::TestParamInfo<GapProfile>& info) {
+      return std::string(profile_name(info.param));
+    });
 
 // ---------------------------------------------------------------------------
 // Budget: determinism, cap, conservation, shard invisibility
@@ -446,31 +411,65 @@ OnlineOptions fence_options(SessionBudget budget) {
   return options;
 }
 
+constexpr SessionBudget kFittingBudget{64, 0};
+
+std::vector<AlertKey> run_sequential(
+    const std::vector<dm::http::HttpTransaction>& trace, SessionBudget budget) {
+  OnlineDetector online(shared_detector(), fence_options(budget));
+  for (const auto& txn : trace) online.observe(txn);
+  return sorted_keys(online.alerts());
+}
+
+/// The fence's one comparison: a budgeted run's alerts equal the unbounded
+/// sequential engine's, score bits included.
+void expect_same_alerts(const std::vector<AlertKey>& budgeted,
+                        const std::vector<AlertKey>& reference,
+                        const std::string& what) {
+  EXPECT_EQ(budgeted, reference) << what << ": budgeted alerts diverged";
+}
+
 TEST(SessionBudgetTest, FittingBudgetIsInvisibleAtAnyShardCount) {
   const auto trace = fence_trace();
-  const SessionBudget fitting{64, 0};
-
-  const auto run_sequential = [&](SessionBudget budget) {
-    OnlineDetector online(shared_detector(), fence_options(budget));
-    for (const auto& txn : trace) online.observe(txn);
-    return sorted_keys(online.alerts());
-  };
-  const auto reference = run_sequential({});
+  const auto reference = run_sequential(trace, {});
   ASSERT_FALSE(reference.empty())
       << "fence trace produced no alerts — the identity fence is vacuous";
 
-  EXPECT_EQ(run_sequential(fitting), reference);
+  expect_same_alerts(run_sequential(trace, kFittingBudget), reference,
+                     "sequential");
   for (const std::size_t shards : {1, 2, 8}) {
     dm::runtime::ShardedOptions options;
     options.num_shards = shards;
     options.batch_size = 64;
-    options.online = fence_options(fitting);
+    options.online = fence_options(kFittingBudget);
     dm::runtime::ShardedOnlineEngine engine(shared_detector(), options);
     for (const auto& txn : trace) engine.observe(txn);
     engine.finish();
-    EXPECT_EQ(sorted_keys(engine.merged_alerts()), reference)
-        << shards << "-shard budgeted alerts diverged";
+    expect_same_alerts(sorted_keys(engine.merged_alerts()), reference,
+                       std::to_string(shards) + " shards");
   }
+}
+
+TEST(SessionBudgetTest, FenceFailsOnAnInjectedDivergence) {
+  // Feed the budgeted run the fence trace minus the transaction that tipped
+  // one session into its alert: the fence's comparison must object.
+  const auto trace = fence_trace();
+  const auto reference = run_sequential(trace, {});
+  ASSERT_FALSE(reference.empty());
+  const std::uint64_t alert_ts = std::get<0>(reference.front());
+  const std::string& alert_client = std::get<2>(reference.front());
+  auto tampered = trace;
+  const auto trigger = std::find_if(
+      tampered.begin(), tampered.end(),
+      [&](const dm::http::HttpTransaction& txn) {
+        return txn.client_host == alert_client &&
+               txn.request.ts_micros == alert_ts;
+      });
+  ASSERT_NE(trigger, tampered.end());
+  tampered.erase(trigger);
+  EXPECT_NONFATAL_FAILURE(
+      expect_same_alerts(run_sequential(tampered, kFittingBudget), reference,
+                         "tampered"),
+      "tampered: budgeted alerts diverged");
 }
 
 }  // namespace
