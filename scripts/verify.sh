@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Full verification sweep: the tier-1 suite on a plain build, then the
-# labelled concurrency/fault/training/serving suites re-run under
-# ThreadSanitizer and AddressSanitizer instrumented builds.
+# Full verification sweep: the tier-1 suite on a plain build, a one-second
+# pipebench run for its end-to-end checks, then the labelled
+# concurrency/fault/training/serving suites re-run under ThreadSanitizer and
+# AddressSanitizer instrumented builds.
 #
 # Usage: scripts/verify.sh [jobs]
 #   jobs  parallel build jobs (default: nproc)
 #
-# Build trees: build/ (tier-1), build-tsan/, build-asan/ — all cached across
-# runs.  Set DM_VERIFY_SKIP_SANITIZERS=1 to stop after tier-1 (e.g. on a
+# Build trees: build/ (tier-1), .bench_build/ (pipebench, Release),
+# build-tsan/, build-asan/ — all cached across runs.  Set
+# DM_VERIFY_SKIP_SANITIZERS=1 to stop after tier-1 and pipebench (e.g. on a
 # toolchain without sanitizer runtimes).
 set -euo pipefail
 
@@ -25,9 +27,15 @@ run cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 run cmake --build build -j "$JOBS"
 run ctest --test-dir build --output-on-failure
 
+# --- pipebench checks: the archive workload's shortest run ----------------
+# Exits non-zero unless the decoded stream matches the generated one, the
+# layered whole-capture pass equals http::transactions_from_pcap, the 3-shard
+# alerts equal the 1-thread alerts bit for bit, and some alert is raised.
+run python3 pipebench/run.py --workload archive --seconds 1 --trace 0
+
 if [[ "${DM_VERIFY_SKIP_SANITIZERS:-0}" == "1" ]]; then
   echo
-  echo "verify: tier-1 green (sanitizer suites skipped on request)"
+  echo "verify: tier-1 + pipebench green (sanitizer suites skipped on request)"
   exit 0
 fi
 
@@ -49,4 +57,4 @@ run cmake --build build-asan -j "$JOBS"
 run ctest --test-dir build-asan -L "$LABELS" --output-on-failure
 
 echo
-echo "verify: tier-1 + tsan/asan labelled suites all green"
+echo "verify: tier-1 + pipebench + tsan/asan labelled suites all green"

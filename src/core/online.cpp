@@ -228,22 +228,33 @@ OnlineDetector::Session& OnlineDetector::find_or_create_session(
   return created;
 }
 
-std::optional<Alert> OnlineDetector::observe(HttpTransaction txn) {
+std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
   ++stats_.transactions_seen;
   obs_.detect_observed.add(1);
   // RAII: records the whole observe() path on every return below.
   auto observe_span = timer_.span(obs_.stage_observe_ns);
-  const std::uint64_t now = txn.request.ts_micros;
+  const std::uint64_t now = arriving.request.ts_micros;
 
-  if (options_.builder.trusted.is_trusted(txn.server_host)) {
+  if (options_.builder.trusted.is_trusted(arriving.server_host)) {
     ++stats_.transactions_weeded;
     return std::nullopt;
   }
 
-  const auto sid = dm::http::extract_session_id(txn);
-  Session& session = find_or_create_session(txn, sid);
+  const auto sid = dm::http::extract_session_id(arriving);
+  Session& session = find_or_create_session(arriving, sid);
   lru_touch(session);  // most recently active; last in eviction order
   if (session.alerted) return std::nullopt;  // terminated by an earlier alert
+
+  // The session log takes the transaction by move — the engine holds one
+  // copy of it, not two — and the rest of this call reads it there.  A
+  // transaction without a server host (one a WcgBuilder would weed) is not
+  // logged and is read from the argument.
+  const bool logged = !arriving.server_host.empty();
+  if (logged) {
+    pin_bytes(session, approx_txn_bytes(arriving));
+    session.log.push_back(std::move(arriving));
+  }
+  const HttpTransaction& txn = logged ? session.log.back() : arriving;
 
   // --- Causal tracing: install the session-tagged ambient context --------
   // The guard and span are torn down explicitly *before* expire_idle(),
@@ -295,10 +306,6 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction txn) {
     }
   }
 
-  if (!txn.server_host.empty()) {  // trusted vendors were weeded above
-    pin_bytes(session, approx_txn_bytes(txn));
-    session.log.push_back(txn);
-  }
   if (!session.clue_fired) session.hosts_before_clue.insert(txn.server_host);
 
   std::optional<Alert> alert;

@@ -182,7 +182,10 @@ class OnlineDetector {
                  OnlineOptions options = {});
 
   /// Feeds one transaction (stream must be in time order); returns an alert
-  /// if this update tipped a session over the decision threshold.
+  /// if this update tipped a session over the decision threshold.  The
+  /// engine moves the transaction into its session's log — pass it with
+  /// std::move to hand it over without a copy.  The log holds the engine's
+  /// one copy; only the session's scoped builder copies clue-related ones.
   std::optional<Alert> observe(dm::http::HttpTransaction transaction);
 
   /// Expires idle sessions relative to `now_micros`.  Pops the deadline

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_map>
 
 #include "http/parser.h"
 #include "net/packet.h"
@@ -35,6 +36,14 @@ std::optional<dm::obs::TraceContext> decode_trace_context() {
 /// data (owned PcapFile or zero-copy PcapFileView).  One implementation
 /// keeps the copying and mmap pipelines semantically identical — the
 /// differential fence in net_pcap_mmap_test leans on that.
+///
+/// Flow at a time, so a flow's reassembled bytes are freed before the next
+/// flow's are built: the peak is the transaction stream plus one flow, not
+/// plus every flow.  The result is the whole-capture reassembler's: its
+/// per-flow state never mixes flows, each flow still sees its packets in
+/// capture order, and flows are visited in first-packet order (the order
+/// TcpReassembler::flows() reports), so the stream, its ties under the
+/// request-time sort and every fault count are unchanged.
 template <typename Capture>
 std::vector<HttpTransaction> reconstruct_transactions(
     const Capture& capture, dm::util::FaultStats* faults) {
@@ -43,28 +52,47 @@ std::vector<HttpTransaction> reconstruct_transactions(
   auto tctx = decode_trace_context();
   dm::obs::TraceContextGuard tguard(tctx ? &*tctx : nullptr);
 
-  // Frame parse + TCP reassembly, timed per capture (a per-packet span would
+  // Pass 1: frame-parse each packet and group packet indices by flow.  No
+  // payload byte is copied.  Timed per capture (a per-packet span would
   // cost two clock reads per packet — more than the work it measures).
   auto reassembly_span = timer.span(obs.stage_tcp_reassembly_ns);
   dm::obs::ScopedTraceSpan reassembly_tspan(dm::obs::TraceOp::kTcpReassembly,
                                             capture.packets.size());
-  dm::net::TcpReassembler reassembler{dm::net::ReassemblyOptions{}, faults};
-  for (const auto& pkt : capture.packets) {
-    if (const auto parsed = dm::net::parse_ethernet_ipv4_tcp(pkt.data)) {
-      reassembler.ingest(*parsed, pkt.ts_micros);
-    } else if (faults) {
-      faults->record(dm::util::DecodeErrorCode::kFrameUndecodable);
+  std::vector<std::vector<std::size_t>> flow_packets;  // first-packet order
+  std::unordered_map<dm::net::FlowKey, std::size_t, dm::net::FlowKeyHash>
+      flow_index;
+  for (std::size_t i = 0; i < capture.packets.size(); ++i) {
+    const auto pkt = dm::net::parse_ethernet_ipv4_tcp(capture.packets[i].data);
+    if (!pkt) {
+      if (faults) faults->record(dm::util::DecodeErrorCode::kFrameUndecodable);
+      continue;
     }
+    const auto [it, inserted] = flow_index.try_emplace(
+        dm::net::FlowKey::canonical(pkt->src_ip, pkt->src_port, pkt->dst_ip,
+                                    pkt->dst_port),
+        flow_packets.size());
+    if (inserted) flow_packets.emplace_back();
+    flow_packets[it->second].push_back(i);
   }
   reassembly_tspan.end();
   reassembly_span.stop();
   obs.net_packets.add(capture.packets.size());
 
+  // Pass 2, per flow: reassemble, parse, and drop the flow's bytes with its
+  // reassembler.  Headers are parsed again rather than kept from pass 1:
+  // a kept ParsedPacket pins 48 bytes per packet for the whole pass, and
+  // these frames already parsed once, so the dereference cannot fail.
   std::vector<HttpTransaction> all;
-  for (const dm::net::TcpFlow* flow : reassembler.flows()) {
+  for (const auto& packets : flow_packets) {
     auto parse_span = timer.span(obs.stage_http_parse_ns);
     dm::obs::ScopedTraceSpan parse_tspan(dm::obs::TraceOp::kHttpParse);
-    auto txns = transactions_from_flow(*flow, faults);
+    dm::net::TcpReassembler reassembler{dm::net::ReassemblyOptions{}, faults};
+    for (const std::size_t i : packets) {
+      const auto& pkt = capture.packets[i];
+      reassembler.ingest(*dm::net::parse_ethernet_ipv4_tcp(pkt.data),
+                         pkt.ts_micros);
+    }
+    auto txns = transactions_from_flow(*reassembler.flows().front(), faults);
     if (!txns.empty()) {
       // Client tag: the end event names whose conversation this flow was.
       parse_tspan.set_arg(dm::util::fnv1a(txns.front().client_host));

@@ -23,11 +23,12 @@ namespace dm::http {
 std::vector<HttpTransaction> transactions_from_pcap(
     const dm::net::PcapFile& capture, dm::util::FaultStats* faults = nullptr);
 
-/// Zero-copy overload: identical reconstruction over packet views (the TCP
-/// reassembler consumes string_view payloads, so no packet byte is copied
-/// until reassembly buffers flow data).  The returned transactions own all
-/// of their strings — nothing in them aliases the capture's buffer, so the
-/// backing mapping may be dropped as soon as this returns.
+/// Zero-copy overload: identical reconstruction over packet views.  Packet
+/// bytes are first copied when their flow is reassembled; flows are
+/// reassembled and parsed one at a time, so at most one flow's bytes are
+/// held beside the transactions built so far.  The returned transactions
+/// own all of their strings — nothing in them aliases the capture's
+/// buffer, so the backing mapping may be dropped as soon as this returns.
 std::vector<HttpTransaction> transactions_from_pcap(
     const dm::net::PcapFileView& capture,
     dm::util::FaultStats* faults = nullptr);

@@ -1,5 +1,7 @@
 #include "net/tcp_reassembly.h"
 
+#include <algorithm>
+
 #include "util/hash.h"
 #include "util/rate_limit.h"
 
@@ -28,12 +30,15 @@ std::size_t FlowKeyHash::operator()(const FlowKey& k) const noexcept {
 }
 
 std::uint64_t DirectionStream::timestamp_at(std::size_t offset) const noexcept {
-  for (const auto& chunk : chunks) {
-    if (offset >= chunk.offset && offset < chunk.offset + chunk.length) {
-      return chunk.ts_micros;
-    }
-  }
-  return 0;
+  // deliver() and flush_pending() append chunks at strictly ascending,
+  // contiguous offsets, so the chunk holding `offset` is the last one
+  // starting at or before it.
+  const auto after = std::upper_bound(
+      chunks.begin(), chunks.end(), offset,
+      [](std::size_t at, const StreamChunk& chunk) { return at < chunk.offset; });
+  if (after == chunks.begin()) return 0;
+  const StreamChunk& chunk = *(after - 1);
+  return offset < chunk.offset + chunk.length ? chunk.ts_micros : 0;
 }
 
 void TcpReassembler::ingest(const ParsedPacket& pkt, std::uint64_t ts_micros) {

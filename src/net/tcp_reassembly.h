@@ -55,6 +55,8 @@ struct DirectionStream {
   std::vector<StreamChunk> chunks;
 
   /// Timestamp of the chunk containing byte `offset`; 0 if out of range.
+  /// O(log chunks): relies on chunks being contiguous and in offset order,
+  /// as the reassembler appends them.
   std::uint64_t timestamp_at(std::size_t offset) const noexcept;
 };
 

@@ -42,8 +42,8 @@ struct PipelineMetrics {
   Counter& http_transactions;     // transactions reconstructed from captures
   // Stage-1 latency (per capture / per flow).
   Histogram& stage_pcap_decode_ns;     // capture bytes -> PcapFile records
-  Histogram& stage_tcp_reassembly_ns;  // frame parse + reassembly, per capture
-  Histogram& stage_http_parse_ns;      // flow bytes -> transactions, per flow
+  Histogram& stage_tcp_reassembly_ns;  // frame parse + flow grouping, per capture
+  Histogram& stage_http_parse_ns;      // one flow: reassembly + HTTP parse
   // Stage-2 detection counters.
   Counter& detect_observed;   // transactions fed to OnlineDetector::observe
   Counter& detect_clues;      // infection clues fired

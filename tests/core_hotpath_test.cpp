@@ -8,13 +8,17 @@
 //     the 18-family catalog, including when a host is implicated
 //     retroactively (scope rescan); the shard aggregate must match the
 //     sequential engine's counters;
-//   * the fence itself must fail on an injected divergence.
+//   * the fence itself must fail on an injected divergence;
+//   * observe() moves its argument into the session log: passing by copy
+//     or by std::move must be indistinguishable.
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "core/online.h"
@@ -472,6 +476,75 @@ TEST(HotpathOnlineTest, FenceFailsOnAnInjectedDivergence) {
   EXPECT_NONFATAL_FAILURE(
       expect_same_alerts(engine.alerts(), reference.alerts(), "tampered"),
       "tampered: alert set diverged");
+}
+
+TEST(HotpathOnlineTest, ObserveByMoveMatchesObserveByCopy) {
+  // observe() moves its argument into the session log and reads the logged
+  // transaction for the rest of the call.  A copy and a move must give the
+  // same run, and the classifier fault hook must see the whole transaction:
+  // a read of the moved-from argument would find its host and body gone.
+  const auto stream = mixed_trace(7100);
+  std::map<std::tuple<std::string, std::uint64_t, std::string>,
+           const HttpTransaction*>
+      original;
+  for (const auto& txn : stream) {
+    ASSERT_TRUE(original
+                    .emplace(std::tuple(txn.client_host, txn.request.ts_micros,
+                                        txn.request.uri),
+                             &txn)
+                    .second);
+  }
+  struct Run {
+    std::vector<Alert> alerts;
+    OnlineStats stats;
+    std::vector<std::size_t> pinned;  // session_bytes_pinned() after each call
+    std::vector<std::tuple<std::uint64_t, std::size_t, std::size_t>> taps;
+    std::size_t hooked = 0;
+    std::size_t hollow = 0;  // hook calls that saw a partial transaction
+  };
+  const auto run = [&](bool by_move) {
+    Run r;
+    auto options = online_options();
+    options.classifier_fault_hook = [&](const HttpTransaction& txn) {
+      ++r.hooked;
+      const auto it = original.find(
+          std::tuple(txn.client_host, txn.request.ts_micros, txn.request.uri));
+      const bool whole =
+          it != original.end() && !txn.server_host.empty() &&
+          txn.server_host == it->second->server_host &&
+          txn.response.has_value() == it->second->response.has_value() &&
+          (!txn.response || txn.response->body == it->second->response->body);
+      r.hollow += !whole;
+    };
+    options.verdict_tap = [&r](const Wcg& wcg, double, bool, std::uint64_t ts) {
+      r.taps.emplace_back(ts, wcg.node_count(), wcg.edge_count());
+    };
+    OnlineDetector engine(shared_detector(), options);
+    auto input = stream;
+    for (auto& txn : input) {
+      if (by_move) {
+        engine.observe(std::move(txn));
+      } else {
+        engine.observe(txn);
+      }
+      r.pinned.push_back(engine.session_bytes_pinned());
+    }
+    r.alerts = engine.alerts();
+    r.stats = engine.stats();
+    return r;
+  };
+  const Run by_copy = run(false);
+  const Run by_move = run(true);
+  ASSERT_FALSE(by_copy.alerts.empty());
+  ASSERT_GT(by_copy.hooked, 0u);
+  EXPECT_EQ(reference::alert_keys(by_move.alerts),
+            reference::alert_keys(by_copy.alerts));
+  EXPECT_EQ(by_move.stats, by_copy.stats);
+  EXPECT_EQ(by_move.pinned, by_copy.pinned);
+  EXPECT_EQ(by_move.taps, by_copy.taps);
+  EXPECT_EQ(by_move.hooked, by_copy.hooked);
+  EXPECT_EQ(by_copy.hollow, 0u);
+  EXPECT_EQ(by_move.hollow, 0u);
 }
 
 }  // namespace

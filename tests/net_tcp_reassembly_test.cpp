@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace dm::net {
 namespace {
 
@@ -127,6 +133,70 @@ TEST(TcpReassemblyTest, TimestampsTrackChunks) {
   EXPECT_EQ(stream.timestamp_at(2), 20u);
   EXPECT_EQ(stream.timestamp_at(3), 30u);
   EXPECT_EQ(stream.timestamp_at(99), 0u);
+}
+
+/// timestamp_at's definition: the timestamp of the first chunk holding the
+/// byte, 0 when none does.
+std::uint64_t linear_timestamp_at(const DirectionStream& stream,
+                                  std::size_t offset) {
+  for (const auto& chunk : stream.chunks) {
+    if (offset >= chunk.offset && offset < chunk.offset + chunk.length) {
+      return chunk.ts_micros;
+    }
+  }
+  return 0;
+}
+
+TEST(TcpReassemblyTest, TimestampLookupMatchesLinearDefinition) {
+  // Segments of 1-20 bytes, each re-sending up to 4 bytes of the one before
+  // it, with one neighbouring pair in three swapped: a reordered,
+  // overlapping stream whose chunk timestamps are not monotone.
+  std::string text(3000, ' ');
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    text[i] = static_cast<char>('a' + i % 26);
+  }
+  struct Segment {
+    std::uint32_t seq;
+    std::string_view bytes;
+  };
+  std::vector<Segment> segments;
+  dm::util::Rng rng(5);
+  for (std::size_t end = 0; end < text.size();) {
+    const auto back = std::min(end, static_cast<std::size_t>(rng.uniform_int(0, 4)));
+    const std::size_t start = end - back;
+    const auto len = std::min(text.size() - start,
+                              back + static_cast<std::size_t>(rng.uniform_int(1, 16)));
+    segments.push_back({static_cast<std::uint32_t>(101 + start),
+                        std::string_view(text).substr(start, len)});
+    end = start + len;
+  }
+  for (std::size_t i = 0; i + 1 < segments.size(); i += 2) {
+    if (rng.uniform_int(0, 2) == 0) std::swap(segments[i], segments[i + 1]);
+  }
+  TcpReassembler r;
+  r.ingest(data_packet(kClient, 40000, kServer, 80, 100, "", {.syn = true}), 1);
+  std::uint64_t ts = 10;
+  for (const auto& segment : segments) {
+    r.ingest(data_packet(kClient, 40000, kServer, 80, segment.seq, segment.bytes),
+             ts++);
+  }
+  const auto& stream = r.flows()[0]->client_to_server;
+  ASSERT_EQ(stream.data, text);
+  ASSERT_GT(stream.chunks.size(), 200u);
+  ASSERT_GT(r.counters().overlapping_segments, 0u);
+
+  std::vector<std::size_t> probes;
+  for (const auto& chunk : stream.chunks) {
+    probes.push_back(chunk.offset);                     // boundary
+    probes.push_back(chunk.offset + chunk.length / 2);  // inside
+    probes.push_back(chunk.offset + chunk.length - 1);  // last byte
+  }
+  for (const std::size_t past : {0, 1, 7, 1000}) probes.push_back(text.size() + past);
+  for (const std::size_t offset : probes) {
+    EXPECT_EQ(stream.timestamp_at(offset), linear_timestamp_at(stream, offset))
+        << "offset " << offset;
+  }
+  EXPECT_EQ(stream.timestamp_at(text.size()), 0u);
 }
 
 TEST(TcpReassemblyTest, SequenceWraparound) {

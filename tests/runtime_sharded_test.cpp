@@ -7,6 +7,7 @@
 // Runs under ThreadSanitizer via the `tsan` ctest label.
 #include "runtime/sharded_online.h"
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -110,6 +111,25 @@ std::vector<Alert> run_sequential(const std::vector<HttpTransaction>& stream) {
   return sequential.alerts();
 }
 
+/// The shard-count fence's engine: small batches and queues, so the trace
+/// crosses many batch boundaries.
+ShardedOptions fence_options(std::size_t shards) {
+  ShardedOptions options;
+  options.num_shards = shards;
+  options.batch_size = 16;
+  options.queue_capacity = 32;
+  options.online = online_options();
+  return options;
+}
+
+/// The fence's one comparison: a sharded run's alerts equal the sequential
+/// engine's, score bits included.
+void expect_same_alerts(const std::vector<Alert>& sharded,
+                        const std::vector<AlertKey>& expected,
+                        const std::string& what) {
+  EXPECT_EQ(sorted_keys(sharded), expected) << "alert set diverged at " << what;
+}
+
 TEST(ShardedOnlineEngineTest, ShardAssignmentIsAPureFunctionOfTheClient) {
   HttpTransaction txn;
   txn.client_host = "10.1.2.3";
@@ -129,20 +149,39 @@ TEST(ShardedOnlineEngineTest, AlertSetsIdenticalAcross1_2_8Shards) {
   ASSERT_FALSE(expected.empty()) << "trace produced no alerts; test is vacuous";
 
   for (const std::size_t shards : {1u, 2u, 8u}) {
-    ShardedOptions options;
-    options.num_shards = shards;
-    options.batch_size = 16;
-    options.queue_capacity = 32;
-    options.online = online_options();
-    ShardedOnlineEngine engine(shared_detector(), options);
+    ShardedOnlineEngine engine(shared_detector(), fence_options(shards));
     for (const auto& txn : stream) engine.observe(txn);
     engine.finish();
-    EXPECT_EQ(sorted_keys(engine.merged_alerts()), expected)
-        << "alert set diverged at " << shards << " shard(s)";
+    expect_same_alerts(engine.merged_alerts(), expected,
+                       std::to_string(shards) + " shard(s)");
     EXPECT_EQ(engine.runtime_stats().transactions_in, stream.size());
     EXPECT_EQ(engine.runtime_stats().transactions_out, stream.size());
     EXPECT_EQ(engine.aggregated_stats().transactions_seen, stream.size());
   }
+}
+
+TEST(ShardedOnlineEngineTest, FenceFailsOnAnInjectedDivergence) {
+  // Feed the sharded run the trace minus the transaction that tipped one
+  // session into its alert: the fence's comparison must object.
+  const auto stream = mixed_trace(/*seed=*/777, /*benign=*/60, /*infections=*/10);
+  const auto expected = sorted_keys(run_sequential(stream));
+  ASSERT_FALSE(expected.empty());
+  const std::uint64_t alert_ts = std::get<0>(expected.front());
+  const std::string& alert_client = std::get<2>(expected.front());
+  auto tampered = stream;
+  const auto trigger = std::find_if(
+      tampered.begin(), tampered.end(), [&](const HttpTransaction& txn) {
+        return txn.client_host == alert_client &&
+               txn.request.ts_micros == alert_ts;
+      });
+  ASSERT_NE(trigger, tampered.end());
+  tampered.erase(trigger);
+  ShardedOnlineEngine engine(shared_detector(), fence_options(8));
+  for (const auto& txn : tampered) engine.observe(txn);
+  engine.finish();
+  EXPECT_NONFATAL_FAILURE(
+      expect_same_alerts(engine.merged_alerts(), expected, "tampered"),
+      "alert set diverged at tampered");
 }
 
 TEST(ShardedOnlineEngineTest, MergedAlertsAreTimeOrdered) {
@@ -246,6 +285,7 @@ TEST(ShardedOnlineEngineTest, FinishIsIdempotentAndImpliedByDestructor) {
 TEST(ParallelIngestTest, DetectTransactionsMatchesSequential) {
   const auto stream = mixed_trace(/*seed=*/781, /*benign=*/40, /*infections=*/8);
   const auto expected = sorted_keys(run_sequential(stream));
+  ASSERT_FALSE(expected.empty()) << "trace produced no alerts; test is vacuous";
   ShardedOptions options;
   options.num_shards = 4;
   options.online = online_options();
@@ -292,7 +332,9 @@ TEST(ParallelIngestTest, PcapFilesRoundTripThroughShardedDetection) {
                    [](const HttpTransaction& a, const HttpTransaction& b) {
                      return a.request.ts_micros < b.request.ts_micros;
                    });
-  EXPECT_EQ(sorted_keys(result.alerts), sorted_keys(run_sequential(merged)));
+  const auto expected = sorted_keys(run_sequential(merged));
+  ASSERT_FALSE(expected.empty()) << "infection episodes raised no alerts";
+  EXPECT_EQ(sorted_keys(result.alerts), expected);
 
   std::filesystem::remove_all(dir);
 }
