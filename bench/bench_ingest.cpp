@@ -318,7 +318,7 @@ int main(int argc, char** argv) {
               budget_sessions);
   std::printf("  resident peak    %zu\n", resident_peak);
   std::printf("  budget evictions %zu\n", stats.sessions_evicted);
-  std::printf("  bytes pinned     %.1f MB (approx accounting)\n",
+  std::printf("  bytes pinned     %.1f MB (session storage accounting)\n",
               static_cast<double>(detector.session_bytes_pinned()) / 1e6);
   std::printf("  throughput       %.0f txn/s over %.1f s\n", fill_txn_per_s,
               fill_s);

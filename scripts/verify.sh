@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full verification sweep: the tier-1 suite on a plain build, a one-second
-# pipebench run for its end-to-end checks, then the labelled
+# Full verification sweep: the tier-1 suite on a plain build, one-second
+# pipebench runs for their end-to-end checks, then the labelled
 # concurrency/fault/training/serving suites re-run under ThreadSanitizer and
 # AddressSanitizer instrumented builds.
 #
@@ -27,11 +27,14 @@ run cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 run cmake --build build -j "$JOBS"
 run ctest --test-dir build --output-on-failure
 
-# --- pipebench checks: the archive workload's shortest run ----------------
+# --- pipebench checks: the archive and edge workloads' shortest runs -------
 # Exits non-zero unless the decoded stream matches the generated one, the
 # layered whole-capture pass equals http::transactions_from_pcap, the 3-shard
 # alerts equal the 1-thread alerts bit for bit, and some alert is raised.
 run python3 pipebench/run.py --workload archive --seconds 1 --trace 0
+# The same checks on the edge workload: ~2.5k resident sessions, whose
+# session logs and scoped builders hold the facts observe() keeps.
+run python3 pipebench/run.py --workload edge --seconds 1 --trace 0
 
 if [[ "${DM_VERIFY_SKIP_SANITIZERS:-0}" == "1" ]]; then
   echo

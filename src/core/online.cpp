@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include <cmath>
+#include <cstddef>
 
 #include "http/classify.h"
 #include "http/redirect_miner.h"
@@ -14,7 +15,6 @@ namespace dm::core {
 namespace {
 
 using dm::http::HttpTransaction;
-using dm::http::PayloadType;
 
 /// Host named by the transaction's referrer, if any.
 std::string referrer_host_of(const HttpTransaction& txn) {
@@ -24,16 +24,18 @@ std::string referrer_host_of(const HttpTransaction& txn) {
   return {};
 }
 
+/// The same reading of a logged transaction's referrer.
+std::string referrer_host_of(const TxnFacts& txn) {
+  return txn.has_referrer ? dm::http::host_of_url(txn.referrer) : std::string();
+}
+
 /// Whether a transaction belongs to the potential-infection scope: it
 /// touches an implicated host as server or referrer.
-bool clue_related(const HttpTransaction& txn,
+bool clue_related(const TxnFacts& txn,
                   const std::set<std::string>& suspicious_hosts) {
   if (suspicious_hosts.count(txn.server_host) > 0) return true;
-  if (const auto ref = txn.request.referrer()) {
-    const std::string host = dm::http::host_of_url(*ref);
-    return !host.empty() && suspicious_hosts.count(host) > 0;
-  }
-  return false;
+  const std::string host = referrer_host_of(txn);
+  return !host.empty() && suspicious_hosts.count(host) > 0;
 }
 
 /// Consecutive quarantined queries in one session before the failure is
@@ -45,45 +47,50 @@ std::uint64_t score_microunits(double score) noexcept {
   return static_cast<std::uint64_t>(std::llround(score * 1e6));
 }
 
-/// Fixed per-session overhead charged against the bytes budget: the Session
-/// struct itself plus a rough allowance for its key strings, map node, and
-/// small-set bookkeeping.  An accounting constant, not a measurement — the
-/// budget caps an estimate, and the estimate only has to scale with real
-/// memory (it does: payload bytes dominate at any realistic trace).
-constexpr std::size_t kSessionBaseBytes = 1024;
+// --- Byte accounting: what session storage allocates, from sizeof and
+// capacity().  Each allocation is charged the chunk malloc reserves for it;
+// a footprint inside its owner (a fact's slot in a vector, a string's
+// small-string buffer) is charged with the owner.
 
-std::size_t approx_string_bytes(const std::string& s) noexcept {
-  return s.size() + sizeof(std::string);
+/// The chunk malloc reserves for an `n`-byte request: a size word of header,
+/// rounded up to malloc's alignment, and never less than four words
+/// (glibc's layout).  Sessions make many small allocations, so this
+/// overhead is about 15% of a redirect-chain session's storage.
+constexpr std::size_t chunk_bytes(std::size_t n) noexcept {
+  constexpr std::size_t word = sizeof(std::size_t);
+  constexpr std::size_t align = alignof(std::max_align_t);
+  return std::max(4 * word, (n + word + align - 1) / align * align);
 }
 
-std::size_t approx_headers_bytes(const dm::http::Headers& headers) noexcept {
-  std::size_t total = 0;
-  for (const auto& h : headers.all()) {
-    total += approx_string_bytes(h.name) + approx_string_bytes(h.value);
-  }
+/// A vector's buffer of `capacity` slots: none until it reserves one.
+template <typename T>
+constexpr std::size_t buffer_bytes(std::size_t capacity) noexcept {
+  return capacity == 0 ? 0 : chunk_bytes(capacity * sizeof(T));
+}
+
+/// Heap bytes `s` owns: its buffer and terminator once it outgrew the
+/// small-string buffer, else none.
+std::size_t heap_bytes(const std::string& s) noexcept {
+  return s.capacity() > std::string().capacity() ? chunk_bytes(s.capacity() + 1)
+                                                 : 0;
+}
+
+/// Heap bytes a fact owns beyond its own slot.
+std::size_t heap_bytes(const TxnFacts& facts) noexcept {
+  std::size_t total =
+      heap_bytes(facts.server_host) + heap_bytes(facts.server_ip) +
+      heap_bytes(facts.method) + heap_bytes(facts.uri) +
+      heap_bytes(facts.referrer) + heap_bytes(facts.x_flash_version) +
+      buffer_bytes<std::string>(facts.redirect_targets.capacity());
+  for (const auto& host : facts.redirect_targets) total += heap_bytes(host);
   return total;
 }
 
-/// Approximate resident footprint of one owned transaction (strings +
-/// headers + struct); charged once per container that retains a copy (the
-/// session log, the scoped builder).
-std::size_t approx_txn_bytes(const HttpTransaction& txn) noexcept {
-  std::size_t total = sizeof(HttpTransaction);
-  total += approx_string_bytes(txn.client_host) +
-           approx_string_bytes(txn.server_host) +
-           approx_string_bytes(txn.server_ip);
-  total += approx_string_bytes(txn.request.method) +
-           approx_string_bytes(txn.request.uri) +
-           approx_string_bytes(txn.request.version) +
-           approx_string_bytes(txn.request.body) +
-           approx_headers_bytes(txn.request.headers);
-  if (txn.response) {
-    total += approx_string_bytes(txn.response->reason) +
-             approx_string_bytes(txn.response->version) +
-             approx_string_bytes(txn.response->body) +
-             approx_headers_bytes(txn.response->headers);
-  }
-  return total;
+/// One std::set/std::map node holding a `Value`: the value plus the
+/// red-black links (parent, left, right) and the colour word.
+template <typename Value>
+constexpr std::size_t tree_node_bytes() noexcept {
+  return chunk_bytes(sizeof(Value) + 4 * sizeof(void*));
 }
 
 /// The engine's scorer when none is installed: the bound Detector, which
@@ -214,17 +221,23 @@ OnlineDetector::Session& OnlineDetector::find_or_create_session(
   session.key =
       txn.client_host + "#" + std::to_string(next_session_seq_[txn.client_host]++);
   session.client = txn.client_host;
-  session.scoped = WcgBuilder(shared_builder_options_);
   ++stats_.sessions_opened;
   sess_obs_.resident.add(1);
   auto [it, inserted] = sessions_.emplace(session.key, std::move(session));
   Session& created = it->second;
-  pin_bytes(created, kSessionBaseBytes + 2 * created.key.size());
   // File at the earliest possible expiry (first activity + timeout); later
   // activity only pushes the true deadline out, and expire_idle re-checks
   // last_activity before erasing.
   deadlines_.emplace(txn.request.ts_micros + idle_timeout_micros_,
                      created.key);
+  // The map node and the deadline filing, the session's key and client
+  // strings, and the node's and the filing's copies of the key (both copied
+  // from created.key, so of one capacity).
+  pin_bytes(created,
+            tree_node_bytes<std::pair<const std::string, Session>>() +
+                sizeof(decltype(deadlines_)::value_type) +
+                heap_bytes(created.key) + heap_bytes(created.client) +
+                2 * heap_bytes(it->first));
   return created;
 }
 
@@ -245,16 +258,22 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
   lru_touch(session);  // most recently active; last in eviction order
   if (session.alerted) return std::nullopt;  // terminated by an earlier alert
 
-  // The session log takes the transaction by move — the engine holds one
-  // copy of it, not two — and the rest of this call reads it there.  A
-  // transaction without a server host (one a WcgBuilder would weed) is not
-  // logged and is read from the argument.
-  const bool logged = !arriving.server_host.empty();
+  // The engine keeps the transaction's facts, derived once here, and reads
+  // them for the rest of this call.  The argument stays whole for the
+  // classifier fault hook and is freed, with its body, header lists and
+  // shell, when observe() returns.  The session log takes the facts by move.
+  // A transaction without a server host (one a WcgBuilder would weed) is not
+  // logged.
+  TxnFacts arriving_facts = derive_facts(arriving, options_.builder.miner);
+  const bool logged = !arriving_facts.server_host.empty();
   if (logged) {
-    pin_bytes(session, approx_txn_bytes(arriving));
-    session.log.push_back(std::move(arriving));
+    const std::size_t slots = session.log.capacity();
+    session.log.push_back(std::move(arriving_facts));
+    pin_bytes(session, buffer_bytes<TxnFacts>(session.log.capacity()) -
+                           buffer_bytes<TxnFacts>(slots) +
+                           heap_bytes(session.log.back()));
   }
-  const HttpTransaction& txn = logged ? session.log.back() : arriving;
+  const TxnFacts& txn = logged ? session.log.back() : arriving_facts;
 
   // --- Causal tracing: install the session-tagged ambient context --------
   // The guard and span are torn down explicitly *before* expire_idle(),
@@ -272,6 +291,10 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
     if (session.flight_ring == nullptr) {
       session.flight_ring =
           std::make_unique<dm::obs::SessionRing>(flight_->ring_capacity());
+      pin_bytes(session,
+                chunk_bytes(sizeof(dm::obs::SessionRing)) +
+                    buffer_bytes<dm::obs::TraceEvent>(
+                        session.flight_ring->capacity()));
     }
     tctx.sink = trace_;
     tctx.ring = session.flight_ring.get();
@@ -286,54 +309,48 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
     tspan.emplace(dm::obs::TraceOp::kObserve);
   }
 
-  if (!session.session_id && sid) session.session_id = sid;
-  session.hosts.insert(txn.server_host);
+  if (!session.session_id && sid) {
+    session.session_id = sid;
+    pin_bytes(session, heap_bytes(*session.session_id));
+  }
+  insert_host(session, session.hosts, txn.server_host);
   const std::string ref_host = referrer_host_of(txn);
-  if (!ref_host.empty()) session.hosts.insert(ref_host);
+  if (!ref_host.empty()) insert_host(session, session.hosts, ref_host);
   session.last_activity = std::max(session.last_activity, now);
 
   // --- Redirect-run tracking for clue inference --------------------------
-  bool is_redirect_hop = false;
-  PayloadType payload = PayloadType::kNone;
-  if (txn.response) {
-    payload = dm::http::classify_payload(
-        txn.response->content_type().value_or(""), txn.request.uri);
-    if (txn.response->is_redirect()) {
-      is_redirect_hop = true;
-    } else {
-      const auto mined = dm::http::mine_redirects(txn, options_.builder.miner);
-      is_redirect_hop = !mined.empty();
-    }
+  // A 30x answer, or a response with mined redirect evidence.
+  const bool is_redirect_hop =
+      txn.has_response && ((txn.status >= 300 && txn.status < 400) ||
+                           !txn.redirect_targets.empty());
+
+  if (!session.clue_fired) {
+    insert_host(session, session.hosts_before_clue, txn.server_host);
   }
 
-  if (!session.clue_fired) session.hosts_before_clue.insert(txn.server_host);
-
   std::optional<Alert> alert;
-  const bool risky_download =
-      dm::http::is_download_type(payload) && txn.response &&
-      txn.response->status_code == 200;
+  const bool risky_download = dm::http::is_download_type(txn.payload) &&
+                              txn.has_response && txn.status == 200;
 
   if (is_redirect_hop) {
     ++session.current_redirect_run;
     session.longest_redirect_run =
         std::max(session.longest_redirect_run, session.current_redirect_run);
     // Chain members and their targets are implicated hosts.
-    session.suspicious_hosts.insert(txn.server_host);
-    if (txn.response) {
-      for (const auto& evidence :
-           dm::http::mine_redirects(txn, options_.builder.miner)) {
-        session.suspicious_hosts.insert(evidence.target_host);
-      }
+    insert_host(session, session.suspicious_hosts, txn.server_host);
+    for (const auto& target : txn.redirect_targets) {
+      insert_host(session, session.suspicious_hosts, target);
     }
   } else {
     // Clue check happens on the first non-redirect after a chain.
     if (risky_download &&
         session.longest_redirect_run >= options_.redirect_chain_threshold) {
-      session.suspicious_hosts.insert(txn.server_host);
+      insert_host(session, session.suspicious_hosts, txn.server_host);
       if (!session.clue_fired) {
         session.clue_fired = true;
         session.clue_host = txn.server_host;
-        session.clue_payload = payload;
+        pin_bytes(session, heap_bytes(session.clue_host));
+        session.clue_payload = txn.payload;
         ++stats_.clues_fired;
         obs_.detect_clues.add(1);
         dm::obs::trace_instant(dm::obs::TraceOp::kClue,
@@ -350,11 +367,11 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
     // the potential-infection WCG, as do call-back candidates — POSTs to
     // hosts never seen before the clue (§II-D's never-seen C&C endpoints).
     if (!ref_host.empty() && session.suspicious_hosts.count(ref_host)) {
-      session.suspicious_hosts.insert(txn.server_host);
+      insert_host(session, session.suspicious_hosts, txn.server_host);
     }
-    if (txn.request.method == "POST" &&
+    if (txn.method == "POST" &&
         session.hosts_before_clue.count(txn.server_host) == 0) {
-      session.suspicious_hosts.insert(txn.server_host);
+      insert_host(session, session.suspicious_hosts, txn.server_host);
     }
   }
 
@@ -370,7 +387,7 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
   const std::size_t queries_before = stats_.classifier_queries;
   const std::size_t failures_before = stats_.classifier_failures;
   if (session.clue_fired) {
-    alert = classify_session(session, txn, payload);
+    alert = classify_session(session, txn, arriving);
   }
 
   if (tracing) {
@@ -435,38 +452,49 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
 }
 
 void OnlineDetector::maintain_scope(Session& session) {
+  // No implicated host, nothing clue-related: the builder is not allocated
+  // until the first one, whose growth below refilters from the start.
+  if (session.suspicious_hosts.empty()) return;
   if (session.scope_suspicious_seen != session.suspicious_hosts.size()) {
     // A host became suspicious retroactively: transactions already rejected
     // may be related now.  Refilter from the start — the only O(n) event,
     // and it happens at most once per new implicated host.
-    session.scoped = WcgBuilder(shared_builder_options_);
+    session.scoped = std::make_unique<WcgBuilder>(shared_builder_options_);
     bytes_pinned_ -= session.scoped_bytes;
     session.approx_bytes -= session.scoped_bytes;
     sess_obs_.bytes_pinned.add(
         -static_cast<std::int64_t>(session.scoped_bytes));
-    session.scoped_bytes = 0;
+    session.scoped_bytes = chunk_bytes(sizeof(WcgBuilder));
+    pin_bytes(session, session.scoped_bytes);
     session.scope_consumed = 0;
     session.scope_suspicious_seen = session.suspicious_hosts.size();
-    // The rebuilt scoped WCG lives at the same address with a restarted
-    // topology version, so the (pointer, version) cache key cannot detect
-    // the swap on its own.
+    // The rebuilt scoped WCG may land at a freed one's address with a
+    // restarted topology version, so the (pointer, version) cache key
+    // cannot detect the swap on its own.
     session.feature_cache.invalidate();
     session.scope_eval_valid = false;
     ++stats_.scope_rescans;
   }
   for (; session.scope_consumed < session.log.size(); ++session.scope_consumed) {
     const auto& txn = session.log[session.scope_consumed];
-    if (clue_related(txn, session.suspicious_hosts) && session.scoped.add(txn)) {
-      const std::size_t bytes = approx_txn_bytes(txn);
+    if (!clue_related(txn, session.suspicious_hosts)) continue;
+    const std::size_t slots = session.scoped->facts_capacity();
+    const bool first = session.scoped->transaction_count() == 0;
+    TxnFacts copy = txn;
+    const std::size_t copy_bytes = heap_bytes(copy);
+    if (session.scoped->add(std::move(copy), session.client)) {
+      const std::size_t bytes =
+          buffer_bytes<TxnFacts>(session.scoped->facts_capacity()) -
+          buffer_bytes<TxnFacts>(slots) + copy_bytes +
+          (first ? heap_bytes(session.client) : 0);
       session.scoped_bytes += bytes;
       pin_bytes(session, bytes);
     }
   }
 }
 
-std::optional<Alert> OnlineDetector::classify_session(Session& session,
-                                                      const HttpTransaction& txn,
-                                                      PayloadType trigger) {
+std::optional<Alert> OnlineDetector::classify_session(
+    Session& session, const TxnFacts& txn, const HttpTransaction& arriving) {
   auto verdict_span = timer_.span(obs_.stage_verdict_ns);
   dm::obs::ScopedTraceSpan verdict_tspan(dm::obs::TraceOp::kVerdict);
 
@@ -478,7 +506,7 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
   // to re-scoring.  Failed queries clear scope_eval_valid, so a faulting
   // classifier is retried on every update, never silently skipped.
   if (session.scope_eval_valid &&
-      session.scoped.transaction_count() == session.scope_eval_txns) {
+      session.scoped->transaction_count() == session.scope_eval_txns) {
     ++stats_.queries_skipped_unchanged;
     verdict_span.cancel();
     return std::nullopt;
@@ -486,13 +514,13 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
 
   auto wcg_span = timer_.span(obs_.stage_wcg_build_ns);
   dm::obs::ScopedTraceSpan wcg_tspan(dm::obs::TraceOp::kWcgBuild);
-  const Wcg& wcg = session.scoped.current();  // folds the pending delta
+  const Wcg& wcg = session.scoped->current();  // folds the pending delta
   wcg_tspan.set_arg(wcg.node_count());
   wcg_tspan.end();
   wcg_span.stop();
 
   const auto mark_evaluated = [&] {
-    session.scope_eval_txns = session.scoped.transaction_count();
+    session.scope_eval_txns = session.scoped->transaction_count();
     session.scope_eval_valid = true;
   };
   if (wcg.node_count() < 2) {
@@ -506,7 +534,7 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
   // update, so a transient failure costs one data point, not the stream.
   double score = 0.0;
   try {
-    if (options_.classifier_fault_hook) options_.classifier_fault_hook(txn);
+    if (options_.classifier_fault_hook) options_.classifier_fault_hook(arriving);
     // The cache stays valid across a serving scorer's model swaps —
     // graph-metric extraction is model-independent.
     score = scorer_->score(wcg, &session.feature_cache);
@@ -539,12 +567,12 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
   // observation of (WCG, label-as-classified).
   const bool infection = score >= options_.decision_threshold;
   if (options_.verdict_tap) {
-    options_.verdict_tap(wcg, score, infection, txn.request.ts_micros);
+    options_.verdict_tap(wcg, score, infection, txn.request_ts);
   }
   if (!infection) return std::nullopt;
 
   Alert alert;
-  alert.ts_micros = txn.request.ts_micros;
+  alert.ts_micros = txn.request_ts;
   alert.client = session.client;
   alert.session_key = session.key;
   alert.score = score;
@@ -554,7 +582,7 @@ std::optional<Alert> OnlineDetector::classify_session(Session& session,
   alert.trigger_host = session.clue_host.empty() ? txn.server_host : session.clue_host;
   alert.trigger_payload = session.clue_payload != dm::http::PayloadType::kNone
                               ? session.clue_payload
-                              : trigger;
+                              : txn.payload;
   alert.wcg_order = wcg.node_count();
   alert.wcg_size = wcg.edge_count();
   session.alerted = true;  // paper: the corresponding session is terminated
@@ -686,6 +714,15 @@ void OnlineDetector::pin_bytes(Session& session, std::size_t bytes) noexcept {
   session.approx_bytes += bytes;
   bytes_pinned_ += bytes;
   sess_obs_.bytes_pinned.add(static_cast<std::int64_t>(bytes));
+}
+
+void OnlineDetector::insert_host(Session& session,
+                                 std::set<std::string>& hosts,
+                                 const std::string& host) {
+  const auto [it, inserted] = hosts.insert(host);
+  if (inserted) {
+    pin_bytes(session, tree_node_bytes<std::string>() + heap_bytes(*it));
+  }
 }
 
 }  // namespace dm::core

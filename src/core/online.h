@@ -8,8 +8,8 @@
 //   3. runs infection-clue inference: a redirect chain of length >= l
 //      followed by a download of a risky payload type,
 //   4. on a clue, "goes back in time": builds the potential-infection WCG
-//      from the session's transactions, extracts features, and queries the
-//      ERF classifier,
+//      from the session's logged transaction facts, extracts features, and
+//      queries the ERF classifier,
 //   5. alerts and terminates the session if infectious; otherwise keeps
 //      watching — every further transaction updates the WCG and re-queries
 //      the classifier until the session ends or stops growing.
@@ -65,10 +65,13 @@ class WcgScorer {
 struct SessionBudget {
   /// Maximum resident sessions.
   std::size_t max_sessions = 0;
-  /// Maximum approximate resident bytes (see OnlineDetector::
-  /// session_bytes_pinned): transaction payloads + per-session overhead —
-  /// an accounting estimate for eviction pressure, not an allocator
-  /// measurement.
+  /// Maximum resident session bytes (see OnlineDetector::
+  /// session_bytes_pinned): what the sessions' storage allocates, summed
+  /// from sizeof and capacity(), not an estimate.  On unscored, untraced
+  /// sessions of one page or of two redirect hops it reads 0.98-0.99 of
+  /// the allocator's growth (core_session_budget_test); it leaves out the
+  /// engine's per-client session counters and the WCG a scored session's
+  /// builder has built.
   std::size_t max_bytes = 0;
 };
 
@@ -183,9 +186,10 @@ class OnlineDetector {
 
   /// Feeds one transaction (stream must be in time order); returns an alert
   /// if this update tipped a session over the decision threshold.  The
-  /// engine moves the transaction into its session's log — pass it with
-  /// std::move to hand it over without a copy.  The log holds the engine's
-  /// one copy; only the session's scoped builder copies clue-related ones.
+  /// engine keeps the transaction's facts (TxnFacts, derived once here), not
+  /// the transaction: the argument, with its body, header lists and shell,
+  /// is freed when observe() returns.  Until then it stays whole, and
+  /// OnlineOptions::classifier_fault_hook is handed it.
   std::optional<Alert> observe(dm::http::HttpTransaction transaction);
 
   /// Expires idle sessions relative to `now_micros`.  Pops the deadline
@@ -198,19 +202,24 @@ class OnlineDetector {
   const OnlineStats& stats() const noexcept { return stats_; }
   const std::vector<Alert>& alerts() const noexcept { return alerts_; }
   std::size_t active_sessions() const noexcept { return sessions_.size(); }
-  /// Approximate bytes pinned by resident session state — the quantity
-  /// SessionBudget::max_bytes caps (accounting estimate: transaction
-  /// payloads in the session log and the scoped builder plus a fixed
-  /// per-session overhead).
+  /// Bytes pinned by resident session state — the quantity
+  /// SessionBudget::max_bytes caps: each session's map node and deadline
+  /// filing, its strings that outgrew the small-string buffer, its host-set
+  /// nodes, the capacity of its log and of its scoped builder's facts store,
+  /// each fact's heap strings, the builder itself and the flight ring,
+  /// derived from sizeof and capacity(), each allocation charged with
+  /// malloc's chunk header and rounding.
   std::size_t session_bytes_pinned() const noexcept { return bytes_pinned_; }
 
  private:
   struct Session {
     std::string key;
     std::string client;
-    /// Every transaction of the session in stream order, minus the ones a
-    /// WcgBuilder would weed (trusted vendor, no server host).
-    std::vector<dm::http::HttpTransaction> log;
+    /// The facts of every transaction of the session in stream order,
+    /// minus the ones a WcgBuilder would weed (trusted vendor, no server
+    /// host).  Facts only: observe() frees each transaction's body, headers
+    /// and shell before it returns.
+    std::vector<TxnFacts> log;
     std::set<std::string> hosts;            // hosts seen in this session
     std::optional<std::string> session_id;  // sticky once discovered
     std::uint64_t last_activity = 0;
@@ -234,10 +243,13 @@ class OnlineDetector {
     bool clue_latency_recorded = false;
 
     // --- Scoring state ---------------------------------------------------
-    /// Delta-maintained scoped builder: exactly the clue-related subsequence
-    /// of `log`, appended as transactions arrive so the first post-clue
-    /// verdict needs no O(n) backfill.
-    WcgBuilder scoped;
+    /// Delta-maintained scoped builder: copies of the facts of exactly the
+    /// clue-related subsequence of `log`, appended as transactions arrive so
+    /// the first post-clue verdict needs no O(n) backfill.  Null until the
+    /// first host is implicated — most sessions never implicate one, and
+    /// the builder is over half of a session's footprint.  A clue implicates
+    /// its download host, so a session being scored always has one.
+    std::unique_ptr<WcgBuilder> scoped;
     /// How many of `log`'s transactions have been filtered into `scoped`;
     /// the suffix beyond it is the pending delta.
     std::size_t scope_consumed = 0;
@@ -247,7 +259,7 @@ class OnlineDetector {
     /// full-rescan trigger).
     std::size_t scope_suspicious_seen = 0;
     /// Graph-metrics memo for the scoped WCG; explicitly invalidated on
-    /// scope rescans (the rebuilt WCG reuses the same storage address, so
+    /// scope rescans (the rebuilt WCG may reuse a freed one's address, so
     /// the (pointer, version) key alone cannot see the swap).
     FeatureCache feature_cache;
     /// Scoped transaction count at the last *completed* evaluation, and
@@ -272,11 +284,11 @@ class OnlineDetector {
     std::uint32_t failure_run = 0;
 
     // --- Budgeted-lifecycle state (DESIGN.md §15) ------------------------
-    /// Approximate resident bytes attributed to this session (base overhead
-    /// + payload bytes in `log` + payload bytes in `scoped`).
+    /// Bytes this session's storage allocates (see session_bytes_pinned):
+    /// grown as it allocates, released in full when it is erased.
     std::size_t approx_bytes = 0;
-    /// The `scoped` builder's share of approx_bytes, released and re-grown
-    /// across scope rescans.
+    /// The `scoped` builder's share of approx_bytes (the builder and its
+    /// facts), released and re-grown across scope rescans.
     std::size_t scoped_bytes = 0;
     /// Intrusive LRU list by stream recency (std::map nodes are
     /// address-stable).  Head = least recently active = first evicted.
@@ -295,9 +307,11 @@ class OnlineDetector {
 
   Session& find_or_create_session(const dm::http::HttpTransaction& txn,
                                   const std::optional<std::string>& sid);
-  std::optional<Alert> classify_session(Session& session,
-                                        const dm::http::HttpTransaction& txn,
-                                        dm::http::PayloadType trigger);
+  /// Scores the session after `txn`'s update.  `arriving` is observe()'s
+  /// argument, read only by the classifier fault hook.
+  std::optional<Alert> classify_session(
+      Session& session, const TxnFacts& txn,
+      const dm::http::HttpTransaction& arriving);
 
   /// True when `session` may still be joined at time `ts_micros`: sessions
   /// idle past the timeout are dead even if not yet garbage-collected.
@@ -318,6 +332,9 @@ class OnlineDetector {
   void lru_touch(Session& session) noexcept;
   void lru_unlink(Session& session) noexcept;
   void pin_bytes(Session& session, std::size_t bytes) noexcept;
+  /// Inserts `host` into one of `session`'s host sets, charging a new node.
+  void insert_host(Session& session, std::set<std::string>& hosts,
+                   const std::string& host);
 
   /// options.scorer, or the bound Detector when none is installed;
   /// classify_session's single scoring call.

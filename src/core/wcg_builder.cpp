@@ -26,11 +26,8 @@ std::string referrer_host(std::string_view referrer) {
   return {};
 }
 
-bool is_exploit_transaction(const HttpTransaction& txn) {
-  if (!txn.response) return false;
-  const auto type = dm::http::classify_payload(
-      txn.response->content_type().value_or(""), txn.request.uri);
-  return dm::http::is_exploit_type(type);
+bool is_exploit_transaction(const TxnFacts& txn) {
+  return txn.has_response && dm::http::is_exploit_type(txn.payload);
 }
 
 /// Stage assignment per §III-C: GET with no prior exploit download and a
@@ -39,17 +36,17 @@ bool is_exploit_transaction(const HttpTransaction& txn) {
 /// The download timeline lives in the build state and is *frozen* between
 /// re-folds: a transaction that would change it forces a full re-fold, so
 /// incremental stage assignment always sees the same timeline build() would.
-Stage stage_of(const HttpTransaction& txn, const WcgBuildState& s) {
-  const std::uint64_t ts = txn.request.ts_micros;
-  const int code = txn.response ? txn.response->status_code : 0;
+Stage stage_of(const TxnFacts& txn, const WcgBuildState& s) {
+  const std::uint64_t ts = txn.request_ts;
+  const int code = txn.status;
   const bool before_first_download =
       s.first_exploit_ts == 0 || ts < s.first_exploit_ts;
 
-  if (txn.request.method == "GET" && before_first_download &&
+  if (txn.method == "GET" && before_first_download &&
       code >= 300 && code < 400) {
     return Stage::kPreDownload;
   }
-  if (txn.request.method == "POST" &&
+  if (txn.method == "POST" &&
       s.exploit_hosts.find(txn.server_host) == s.exploit_hosts.end() &&
       s.first_exploit_ts != 0 && ts > s.last_exploit_ts &&
       (code == 200 || (code >= 400 && code < 500))) {
@@ -137,13 +134,14 @@ void add_redirect_edge(WcgBuildState& s, const std::string& from_host,
 /// One-time setup for a (re-)fold: download timeline, conversation hosts,
 /// origin and victim nodes, entice edge.  Precondition: at least one
 /// transaction, `s` freshly default-constructed.
-void prologue(WcgBuildState& s, const std::vector<HttpTransaction>& txns) {
+void prologue(WcgBuildState& s, const std::vector<TxnFacts>& txns,
+              const std::string& victim) {
   auto& ann = s.wcg.annotations();
 
   // Download timeline (fixed for this fold; see stage_of).
   for (const auto& txn : txns) {
     if (!is_exploit_transaction(txn)) continue;
-    const std::uint64_t ts = txn.response->ts_micros;
+    const std::uint64_t ts = txn.response_ts;
     if (s.first_exploit_ts == 0 || ts < s.first_exploit_ts) {
       s.first_exploit_ts = ts;
     }
@@ -156,8 +154,8 @@ void prologue(WcgBuildState& s, const std::vector<HttpTransaction>& txns) {
   // referrer host is outside the conversation (§III-B "origin node").
   for (const auto& txn : txns) s.conversation_hosts.insert(txn.server_host);
   for (const auto& txn : txns) {
-    if (const auto ref = txn.request.referrer()) {
-      const std::string host = referrer_host(*ref);
+    if (txn.has_referrer) {
+      const std::string host = referrer_host(txn.referrer);
       if (!host.empty() &&
           s.conversation_hosts.find(host) == s.conversation_hosts.end()) {
         s.origin_name = host;
@@ -171,9 +169,9 @@ void prologue(WcgBuildState& s, const std::vector<HttpTransaction>& txns) {
   s.wcg.set_origin(s.origin_id);
 
   // ---- Victim node -------------------------------------------------------
-  s.victim_id = s.wcg.add_host(txns.front().client_host);
+  s.victim_id = s.wcg.add_host(victim);
   s.wcg.node(s.victim_id).type = NodeType::kVictim;
-  s.wcg.node(s.victim_id).ip = txns.front().client_host;
+  s.wcg.node(s.victim_id).ip = victim;
   s.wcg.set_victim(s.victim_id);
 
   // Origin enticed the victim into the conversation.
@@ -181,27 +179,27 @@ void prologue(WcgBuildState& s, const std::vector<HttpTransaction>& txns) {
     WcgEdge entice;
     entice.kind = EdgeKind::kRedirect;
     entice.stage = Stage::kPreDownload;
-    entice.ts_micros = txns.front().request.ts_micros;
+    entice.ts_micros = txns.front().request_ts;
     s.wcg.add_edge(s.origin_id, s.victim_id, entice);
   }
 
-  s.first_ts = txns.front().request.ts_micros;
+  s.first_ts = txns.front().request_ts;
   s.last_ts = s.first_ts;
 }
 
 /// Extends the state by one transaction.  The single per-transaction code
 /// path shared by build() and current() — equivalence by construction.
 void fold(const BuilderOptions& options, WcgBuildState& s,
-          const HttpTransaction& txn) {
+          const TxnFacts& txn) {
   Wcg& wcg = s.wcg;
   auto& ann = wcg.annotations();
 
   const auto server_id = wcg.add_host(txn.server_host);
   if (wcg.node(server_id).ip.empty()) wcg.node(server_id).ip = txn.server_ip;
-  wcg.add_uri(server_id, txn.request.uri);
+  wcg.add_uri(server_id, txn.uri);
 
   const Stage stage = stage_of(txn, s);
-  const std::uint64_t req_ts = txn.request.ts_micros;
+  const std::uint64_t req_ts = txn.request_ts;
   if (stage == Stage::kPostDownload) ann.has_post_download_stage = true;
 
   // Running inter-transaction total; same dirty-flag scheme as redirects.
@@ -222,44 +220,39 @@ void fold(const BuilderOptions& options, WcgBuildState& s,
   req.kind = EdgeKind::kRequest;
   req.stage = stage;
   req.ts_micros = req_ts;
-  req.method = txn.request.method;
-  req.uri_length = static_cast<std::uint32_t>(txn.request.uri.size());
-  req.has_referrer = txn.request.referrer().has_value();
+  req.method = txn.method;
+  req.uri_length = static_cast<std::uint32_t>(txn.uri.size());
+  req.has_referrer = txn.has_referrer;
   wcg.add_edge(s.victim_id, server_id, req);
 
   // Header tallies.
-  if (txn.request.method == "GET") ++ann.get_count;
-  else if (txn.request.method == "POST") ++ann.post_count;
+  if (txn.method == "GET") ++ann.get_count;
+  else if (txn.method == "POST") ++ann.post_count;
   else ++ann.other_method_count;
   if (req.has_referrer) ++ann.referrer_count;
   else ++ann.no_referrer_count;
-  if (const auto dnt = txn.request.headers.get("DNT");
-      dnt && *dnt == "1") {
-    ann.do_not_track = true;
-  }
-  if (const auto xf = txn.request.headers.get("X-Flash-Version")) {
+  if (txn.do_not_track) ann.do_not_track = true;
+  if (txn.has_x_flash_version) {
     ann.x_flash_version_set = true;
-    ann.x_flash_version = std::string(*xf);
+    ann.x_flash_version = txn.x_flash_version;
   }
 
   // Response edge: server -> victim.
-  if (txn.response) {
-    const auto& res = *txn.response;
-    const std::uint64_t res_ts = res.ts_micros ? res.ts_micros : req_ts;
+  if (txn.has_response) {
+    const std::uint64_t res_ts = txn.response_ts ? txn.response_ts : req_ts;
     s.last_ts = std::max(s.last_ts, res_ts);
     WcgEdge resp;
     resp.kind = EdgeKind::kResponse;
     resp.stage = stage;
     resp.ts_micros = res_ts;
-    resp.response_code = res.status_code;
-    resp.payload_type = dm::http::classify_payload(
-        res.content_type().value_or(""), txn.request.uri);
-    resp.payload_size = res.body.size();
+    resp.response_code = txn.status;
+    resp.payload_type = txn.payload;
+    resp.payload_size = txn.body_bytes;
     wcg.add_edge(server_id, s.victim_id, resp);
 
-    const int cls = res.status_code / 100;
+    const int cls = txn.status / 100;
     if (cls >= 1 && cls <= 5) ++ann.response_class_counts[cls - 1];
-    if (resp.payload_type != PayloadType::kNone && !res.body.empty()) {
+    if (resp.payload_type != PayloadType::kNone && txn.body_bytes != 0) {
       ++ann.payload_count;
       ann.total_payload_bytes += resp.payload_size;
       ++ann.payload_type_counts[resp.payload_type];
@@ -268,10 +261,10 @@ void fold(const BuilderOptions& options, WcgBuildState& s,
     s.last_response_ts[txn.server_host] = res_ts;
 
     // Explicit redirect evidence: Location header / meta / iframe / JS,
-    // including the de-obfuscated layers.
-    for (const auto& evidence : dm::http::mine_redirects(txn, options.miner)) {
-      if (options.trusted.is_trusted(evidence.target_host)) continue;
-      add_redirect_edge(s, txn.server_host, evidence.target_host, res_ts);
+    // including the de-obfuscated layers, mined once by derive_facts.
+    for (const auto& target : txn.redirect_targets) {
+      if (options.trusted.is_trusted(target)) continue;
+      add_redirect_edge(s, txn.server_host, target, res_ts);
     }
   }
 
@@ -279,9 +272,8 @@ void fold(const BuilderOptions& options, WcgBuildState& s,
   // and this request followed that host's response almost immediately.
   // Needs the *full* conversation-host set, so enabling it forces current()
   // into refold-per-call mode (see BuilderOptions).
-  if (const auto ref = txn.request.referrer();
-      ref && options.referrer_timing_redirects) {
-    const std::string ref_host = referrer_host(*ref);
+  if (txn.has_referrer && options.referrer_timing_redirects) {
+    const std::string ref_host = referrer_host(txn.referrer);
     if (!ref_host.empty() && ref_host != txn.server_host &&
         s.conversation_hosts.find(ref_host) != s.conversation_hosts.end()) {
       const auto it = s.last_response_ts.find(ref_host);
@@ -363,6 +355,39 @@ void finalize(WcgBuildState& s) {
 
 }  // namespace
 
+TxnFacts derive_facts(const HttpTransaction& txn,
+                      const dm::http::RedirectMinerOptions& miner) {
+  TxnFacts facts;
+  const dm::http::HttpRequest& req = txn.request;
+  facts.server_host = txn.server_host;
+  facts.server_ip = txn.server_ip;
+  facts.method = req.method;
+  facts.uri = req.uri;
+  facts.request_ts = req.ts_micros;
+  if (const auto ref = req.referrer()) {
+    facts.has_referrer = true;
+    facts.referrer = *ref;
+  }
+  if (const auto dnt = req.headers.get("DNT")) facts.do_not_track = *dnt == "1";
+  if (const auto xf = req.headers.get("X-Flash-Version")) {
+    facts.has_x_flash_version = true;
+    facts.x_flash_version = *xf;
+  }
+  if (txn.response) {
+    const dm::http::HttpResponse& res = *txn.response;
+    facts.has_response = true;
+    facts.status = res.status_code;
+    facts.response_ts = res.ts_micros;
+    facts.body_bytes = res.body.size();
+    facts.payload =
+        dm::http::classify_payload(res.content_type().value_or(""), req.uri);
+    for (auto& evidence : dm::http::mine_redirects(txn, miner)) {
+      facts.redirect_targets.push_back(std::move(evidence.target_host));
+    }
+  }
+  return facts;
+}
+
 namespace {
 
 /// One immutable default-options instance shared by every
@@ -385,18 +410,28 @@ WcgBuilder::WcgBuilder(std::shared_ptr<const BuilderOptions> options)
     : options_(options != nullptr ? std::move(options)
                                   : shared_default_options()) {}
 
-bool WcgBuilder::add(HttpTransaction transaction) {
-  if (transaction.server_host.empty()) return false;
-  if (options_->trusted.is_trusted(transaction.server_host)) return false;
-  transactions_.push_back(std::move(transaction));
+bool WcgBuilder::add(const HttpTransaction& transaction) {
+  if (!admits(transaction.server_host)) return false;
+  return add(derive_facts(transaction, options_->miner),
+             transaction.client_host);
+}
+
+bool WcgBuilder::add(TxnFacts facts, std::string_view client_host) {
+  if (!admits(facts.server_host)) return false;
+  if (facts_.empty()) victim_ = client_host;
+  facts_.push_back(std::move(facts));
   return true;
+}
+
+bool WcgBuilder::admits(const std::string& server_host) const {
+  return !server_host.empty() && !options_->trusted.is_trusted(server_host);
 }
 
 Wcg WcgBuilder::build() const {
   detail::WcgBuildState state;
-  if (transactions_.empty()) return std::move(state.wcg);
-  prologue(state, transactions_);
-  for (const auto& txn : transactions_) fold(*options_, state, txn);
+  if (facts_.empty()) return std::move(state.wcg);
+  prologue(state, facts_, victim_);
+  for (const auto& txn : facts_) fold(*options_, state, txn);
   finalize(state);
   return std::move(state.wcg);
 }
@@ -407,8 +442,8 @@ bool WcgBuilder::requires_refold() const {
   // honor that, so the option pins current() to refold-per-call.
   if (options_->referrer_timing_redirects) return true;
 
-  for (std::size_t i = state_.folded; i < transactions_.size(); ++i) {
-    const auto& txn = transactions_[i];
+  for (std::size_t i = state_.folded; i < facts_.size(); ++i) {
+    const auto& txn = facts_[i];
     // A new exploit download moves the timeline: stages (and node typing)
     // of already-folded transactions may change.
     if (is_exploit_transaction(txn)) return true;
@@ -424,12 +459,12 @@ bool WcgBuilder::requires_refold() const {
     // No enticement source so far: does any pending transaction carry a
     // referrer that stays outside the *grown* conversation-host set?
     std::set<std::string> pending_hosts;
-    for (std::size_t i = state_.folded; i < transactions_.size(); ++i) {
-      pending_hosts.insert(transactions_[i].server_host);
+    for (std::size_t i = state_.folded; i < facts_.size(); ++i) {
+      pending_hosts.insert(facts_[i].server_host);
     }
-    for (std::size_t i = state_.folded; i < transactions_.size(); ++i) {
-      if (const auto ref = transactions_[i].request.referrer()) {
-        const std::string host = referrer_host(*ref);
+    for (std::size_t i = state_.folded; i < facts_.size(); ++i) {
+      if (facts_[i].has_referrer) {
+        const std::string host = referrer_host(facts_[i].referrer);
         if (!host.empty() &&
             state_.conversation_hosts.find(host) ==
                 state_.conversation_hosts.end() &&
@@ -443,34 +478,34 @@ bool WcgBuilder::requires_refold() const {
 }
 
 const Wcg& WcgBuilder::current() {
-  const std::size_t n = transactions_.size();
+  const std::size_t n = facts_.size();
   if (state_.folded == n) return state_.wcg;  // finalized by the last call
 
   if (state_.folded == 0 || requires_refold()) {
     if (state_.folded > 0) ++full_refolds_;
     const std::uint64_t prev_version = state_.wcg.topology_version();
     state_ = detail::WcgBuildState{};
-    prologue(state_, transactions_);
-    for (const auto& txn : transactions_) fold(*options_, state_, txn);
+    prologue(state_, facts_, victim_);
+    for (const auto& txn : facts_) fold(*options_, state_, txn);
     // The graph object kept its address but was rebuilt; keep the version
     // strictly increasing so (pointer, version) cache keys stay sound.
     state_.wcg.ensure_topology_version_above(prev_version);
   } else {
     for (std::size_t i = state_.folded; i < n; ++i) {
-      state_.conversation_hosts.insert(transactions_[i].server_host);
+      state_.conversation_hosts.insert(facts_[i].server_host);
     }
     for (std::size_t i = state_.folded; i < n; ++i) {
-      fold(*options_, state_, transactions_[i]);
+      fold(*options_, state_, facts_[i]);
     }
   }
   finalize(state_);
   return state_.wcg;
 }
 
-Wcg build_wcg(std::vector<dm::http::HttpTransaction> transactions,
+Wcg build_wcg(const std::vector<HttpTransaction>& transactions,
               BuilderOptions options) {
   WcgBuilder builder(std::move(options));
-  for (auto& txn : transactions) builder.add(std::move(txn));
+  for (const auto& txn : transactions) builder.add(txn);
   return builder.build();
 }
 

@@ -1,13 +1,16 @@
 // WCG construction from a time-ordered HTTP transaction stream (§III-B).
 //
-// The builder:
+// The builder folds each transaction's facts (TxnFacts below), not the
+// transaction itself: the payload-agnostic attributes §III annotates the
+// WCG with, derived once by derive_facts().  It:
 //  * weeds out transactions to trusted software vendors (§V-B noise rule),
 //  * adds the synthetic origin node from the first transaction's referrer
 //    ("empty" when the referrer was stripped),
 //  * creates request/response edges between the victim and each host,
 //  * infers redirect edges from Location headers, Referer chaining under a
 //    short-delay rule (automatic redirects are fast; human clicks are slow),
-//    and the obfuscated-JS/meta/iframe miner (§III-D),
+//    and the obfuscated-JS/meta/iframe miner (§III-D) — the mined target
+//    hosts are part of the facts, so a body is mined once, not per fold,
 //  * assigns each edge a conversation stage — pre-download / download /
 //    post-download — using the paper's §III-C heuristics, and
 //  * fills the graph-level annotations that the 37 features consume.
@@ -28,10 +31,13 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/wcg.h"
 #include "core/whitelist.h"
+#include "http/classify.h"
 #include "http/message.h"
 #include "http/redirect_miner.h"
 
@@ -53,6 +59,42 @@ struct BuilderOptions {
   double referrer_redirect_max_delay_s = 2.0;
   dm::http::RedirectMinerOptions miner;
 };
+
+/// What the fold, clue inference and the online engine's scope filter read
+/// of one transaction — and all the engine keeps of it.  Headers and bodies
+/// are not kept: the payload type, body length and mined redirect targets
+/// stand in for them.  Nor is the client host: a builder (and an online
+/// session) holds its victim once.
+struct TxnFacts {
+  // Request side.
+  std::string server_host;
+  std::string server_ip;
+  std::string method;
+  std::string uri;
+  /// Raw Referer value; both referrer-host readings (the builder's, which
+  /// accepts a bare hostname, and the engine's absolute-URL one) derive
+  /// from it.  Empty when has_referrer is false.
+  std::string referrer;
+  std::string x_flash_version;  // empty unless has_x_flash_version
+  std::uint64_t request_ts = 0;
+  // Response side: zero / kNone / empty without a response.
+  std::uint64_t response_ts = 0;
+  std::uint64_t body_bytes = 0;
+  /// Target host of each piece of redirect evidence mine_redirects found,
+  /// in its order, duplicates kept (each one is a redirect edge).
+  std::vector<std::string> redirect_targets;
+  int status = 0;
+  dm::http::PayloadType payload = dm::http::PayloadType::kNone;
+  bool has_response = false;
+  bool has_referrer = false;
+  bool do_not_track = false;  // first DNT header is "1"
+  bool has_x_flash_version = false;
+};
+
+/// Derives one transaction's facts: classify_payload and mine_redirects run
+/// here, once.  The strings the facts keep are copied; `txn` is left whole.
+TxnFacts derive_facts(const dm::http::HttpTransaction& txn,
+                      const dm::http::RedirectMinerOptions& miner);
 
 namespace detail {
 
@@ -100,7 +142,7 @@ struct WcgBuildState {
 
 }  // namespace detail
 
-/// Accumulates transactions (time order expected) and materializes the
+/// Accumulates transaction facts (time order expected) and materializes the
 /// annotated WCG.  `build()`/`current()` may be called repeatedly as the
 /// conversation grows — the on-the-wire detector does exactly that (§V-B
 /// "each update of a WCG then triggers feature extraction").
@@ -117,15 +159,19 @@ class WcgBuilder {
   /// session this shared handle instead.  Null falls back to the default.
   explicit WcgBuilder(std::shared_ptr<const BuilderOptions> options);
 
-  /// Appends one transaction; returns false if it was weeded out
-  /// (trusted vendor) or malformed.  Cheap: folding into the incremental
-  /// graph is deferred to the next current() call.
-  bool add(dm::http::HttpTransaction transaction);
+  /// Derives the transaction's facts and appends them; returns false if it
+  /// was weeded out (trusted vendor) or malformed (no server host).  The
+  /// first transaction kept names the victim.  Cheap apart from the one
+  /// derivation: folding into the incremental graph is deferred to the next
+  /// current() call.
+  bool add(const dm::http::HttpTransaction& transaction);
+  /// Appends facts derived elsewhere (the online engine's session log), of
+  /// a transaction from `client_host`; same weeding and victim rule.
+  bool add(TxnFacts facts, std::string_view client_host);
 
-  std::size_t transaction_count() const noexcept { return transactions_.size(); }
-  const std::vector<dm::http::HttpTransaction>& transactions() const noexcept {
-    return transactions_;
-  }
+  std::size_t transaction_count() const noexcept { return facts_.size(); }
+  /// Slots reserved in the facts store (byte accounting).
+  std::size_t facts_capacity() const noexcept { return facts_.capacity(); }
 
   /// Builds the full annotated WCG from scratch from everything added so
   /// far.  The reference implementation; current() must match it bitwise.
@@ -146,15 +192,18 @@ class WcgBuilder {
   /// True when the pending suffix [state_.folded, n) cannot be folded
   /// incrementally onto state_ without changing already-built structure.
   bool requires_refold() const;
+  /// The weeding rule: a server host that is present and not trusted.
+  bool admits(const std::string& server_host) const;
 
   std::shared_ptr<const BuilderOptions> options_;  // immutable, never null
-  std::vector<dm::http::HttpTransaction> transactions_;
+  std::vector<TxnFacts> facts_;
+  std::string victim_;  // client host of the first facts kept
   detail::WcgBuildState state_;  // incremental graph for current()
   std::uint64_t full_refolds_ = 0;
 };
 
 /// One-shot convenience.
-Wcg build_wcg(std::vector<dm::http::HttpTransaction> transactions,
+Wcg build_wcg(const std::vector<dm::http::HttpTransaction>& transactions,
               BuilderOptions options = {});
 
 }  // namespace dm::core

@@ -174,36 +174,39 @@ std::string host_of_url(std::string_view url) {
 std::string decode_obfuscated_layers(std::string_view text) {
   std::string decoded;
 
-  // Layer 1: \xHH and \uHHHH escapes anywhere in the body.
-  std::string unescaped;
-  bool saw_escape = false;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\\' && i + 3 < text.size() && text[i + 1] == 'x') {
-      const int hi = hex_val(text[i + 2]);
-      const int lo = hex_val(text[i + 3]);
-      if (hi >= 0 && lo >= 0) {
-        unescaped += static_cast<char>(hi * 16 + lo);
-        i += 3;
-        saw_escape = true;
-        continue;
+  // Layer 1: \xHH and \uHHHH escapes anywhere in the body.  Both start
+  // with a backslash, and most bodies hold none: those skip the copy.
+  if (text.find('\\') != std::string_view::npos) {
+    std::string unescaped;
+    bool saw_escape = false;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      if (text[i] == '\\' && i + 3 < text.size() && text[i + 1] == 'x') {
+        const int hi = hex_val(text[i + 2]);
+        const int lo = hex_val(text[i + 3]);
+        if (hi >= 0 && lo >= 0) {
+          unescaped += static_cast<char>(hi * 16 + lo);
+          i += 3;
+          saw_escape = true;
+          continue;
+        }
       }
-    }
-    if (text[i] == '\\' && i + 5 < text.size() && text[i + 1] == 'u') {
-      const int a = hex_val(text[i + 2]);
-      const int b = hex_val(text[i + 3]);
-      const int c = hex_val(text[i + 4]);
-      const int d = hex_val(text[i + 5]);
-      if (a >= 0 && b >= 0 && c >= 0 && d >= 0) {
-        const int code = ((a * 16 + b) * 16 + c) * 16 + d;
-        if (code < 128) unescaped += static_cast<char>(code);
-        i += 5;
-        saw_escape = true;
-        continue;
+      if (text[i] == '\\' && i + 5 < text.size() && text[i + 1] == 'u') {
+        const int a = hex_val(text[i + 2]);
+        const int b = hex_val(text[i + 3]);
+        const int c = hex_val(text[i + 4]);
+        const int d = hex_val(text[i + 5]);
+        if (a >= 0 && b >= 0 && c >= 0 && d >= 0) {
+          const int code = ((a * 16 + b) * 16 + c) * 16 + d;
+          if (code < 128) unescaped += static_cast<char>(code);
+          i += 5;
+          saw_escape = true;
+          continue;
+        }
       }
+      unescaped += text[i];
     }
-    unescaped += text[i];
+    if (saw_escape) decoded += unescaped;
   }
-  if (saw_escape) decoded += unescaped;
 
   // Layer 2: unescape('%68%74...') percent-encoding.
   std::size_t pos = 0;

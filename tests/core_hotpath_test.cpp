@@ -9,8 +9,9 @@
 //     retroactively (scope rescan); the shard aggregate must match the
 //     sequential engine's counters;
 //   * the fence itself must fail on an injected divergence;
-//   * observe() moves its argument into the session log: passing by copy
-//     or by std::move must be indistinguishable.
+//   * observe() keeps only a transaction's facts: passing by copy or by
+//     std::move must be indistinguishable, and so must padding the header
+//     lists and rewriting the bodies the facts do not read.
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
@@ -24,11 +25,13 @@
 #include "core/online.h"
 #include "core/trainer.h"
 #include "core/wcg_builder.h"
+#include "http/classify.h"
 #include "reference_online.h"
 #include "runtime/sharded_online.h"
 #include "synth/dataset.h"
 #include "synth/families.h"
 #include "synth/generator.h"
+#include "util/strings.h"
 
 namespace dm::core {
 namespace {
@@ -545,6 +548,116 @@ TEST(HotpathOnlineTest, ObserveByMoveMatchesObserveByCopy) {
   EXPECT_EQ(by_move.hooked, by_copy.hooked);
   EXPECT_EQ(by_copy.hollow, 0u);
   EXPECT_EQ(by_move.hollow, 0u);
+}
+
+/// Everything a run of the engine shows: alerts, counters, the verdict-tap
+/// sequence and the bytes pinned after every call.
+struct FactsRun {
+  std::vector<Alert> alerts;
+  OnlineStats stats;
+  /// (timestamp, score bits, WCG order, WCG size) per completed verdict.
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::size_t, std::size_t>>
+      taps;
+  std::vector<std::size_t> pinned;  // session_bytes_pinned() after each call
+};
+
+FactsRun run_engine(std::vector<HttpTransaction> input) {
+  FactsRun r;
+  auto options = online_options();
+  options.verdict_tap = [&r](const Wcg& wcg, double score, bool,
+                             std::uint64_t ts) {
+    r.taps.emplace_back(ts, std::bit_cast<std::uint64_t>(score),
+                        wcg.node_count(), wcg.edge_count());
+  };
+  OnlineDetector engine(shared_detector(), options);
+  for (auto& txn : input) {
+    engine.observe(std::move(txn));
+    r.pinned.push_back(engine.session_bytes_pinned());
+  }
+  r.alerts = engine.alerts();
+  r.stats = engine.stats();
+  return r;
+}
+
+/// One failure naming every part of `run` that differs from `base`.
+void expect_same_run(const FactsRun& run, const FactsRun& base,
+                     const std::string& what) {
+  std::string differs;
+  if (reference::alert_keys(run.alerts) != reference::alert_keys(base.alerts)) {
+    differs += " alerts";
+  }
+  if (run.stats != base.stats) differs += " stats";
+  if (run.taps != base.taps) differs += " verdict-taps";
+  if (run.pinned != base.pinned) differs += " pinned-bytes";
+  EXPECT_TRUE(differs.empty()) << what << ": the run differs in" << differs;
+}
+
+/// The redirect miner's rule: only markup and script bodies are mined.
+bool minable(const dm::http::HttpResponse& res) {
+  const auto ct = res.content_type().value_or("");
+  return ct.empty() || dm::util::ifind(ct, "html") != std::string_view::npos ||
+         dm::util::ifind(ct, "javascript") != std::string_view::npos ||
+         dm::util::ifind(ct, "ecmascript") != std::string_view::npos;
+}
+
+/// `stream` with 64 headers of 100 bytes added to every request and
+/// response, and every body the miner does not read replaced by other bytes
+/// of the same length.
+std::vector<HttpTransaction> padded(std::vector<HttpTransaction> stream) {
+  const std::string pad(100, 'p');
+  for (auto& txn : stream) {
+    for (int k = 0; k < 64; ++k) {
+      txn.request.headers.add("X-Pad-" + std::to_string(k), pad);
+    }
+    if (!txn.response) continue;
+    for (int k = 0; k < 64; ++k) {
+      txn.response->headers.add("X-Pad-" + std::to_string(k), pad);
+    }
+    if (!minable(*txn.response)) {
+      for (char& c : txn.response->body) c = static_cast<char>(c ^ 0x55);
+    }
+  }
+  return stream;
+}
+
+TEST(HotpathOnlineTest, EngineKeepsNothingButTransactionFacts) {
+  // The engine keeps a transaction's facts and frees the rest before
+  // observe() returns.  Header lists and the bytes of bodies the miner does
+  // not read are no facts, so growing and rewriting them must leave the run
+  // and the pinned bytes exactly as they were.
+  const auto stream = mixed_trace(7100);
+  const auto pad = padded(stream);
+  std::size_t rewritten = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    rewritten += stream[i].response && !stream[i].response->body.empty() &&
+                 stream[i].response->body != pad[i].response->body;
+  }
+  ASSERT_GT(rewritten, 10u);
+
+  const FactsRun base = run_engine(stream);
+  ASSERT_FALSE(base.alerts.empty());
+  ASSERT_FALSE(base.taps.empty());
+  expect_same_run(run_engine(pad), base, "padded");
+
+  // The comparison objects when the padded run loses one risky download:
+  // the clue download of the first alert.
+  const Alert& alert = base.alerts.front();
+  auto tampered = pad;
+  const auto clue = std::find_if(
+      tampered.begin(), tampered.end(), [&](const HttpTransaction& txn) {
+        return txn.client_host == alert.client &&
+               txn.server_host == alert.trigger_host && txn.response &&
+               txn.response->status_code == 200 &&
+               dm::http::is_download_type(dm::http::classify_payload(
+                   txn.response->content_type().value_or(""),
+                   txn.request.uri));
+      });
+  ASSERT_NE(clue, tampered.end());
+  tampered.erase(clue);
+  const FactsRun tampered_run = run_engine(tampered);
+  EXPECT_NONFATAL_FAILURE(expect_same_run(tampered_run, base, "tampered"),
+                          "tampered: the run differs in alerts stats "
+                          "verdict-taps pinned-bytes");
 }
 
 }  // namespace

@@ -13,7 +13,8 @@
 //    multi-day jumps (everything due at once).
 //  * SessionBudgetTest — determinism (same stream twice -> identical
 //    counters and alerts), the resident cap holding after every observe,
-//    per-cause conservation through the dm.session.* panel, and the
+//    per-cause conservation through the dm.session.* panel, the byte
+//    accounting tracking the allocator's own growth within 15%, and the
 //    budget-invisibility fence: on a trace whose live concurrency fits the
 //    budget, budgeted sequential and 1/2/8-shard engines reproduce the
 //    unbounded engine's alert set bit for bit — and that fence's
@@ -21,7 +22,9 @@
 #include "core/online.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -32,6 +35,10 @@
 
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
+
+#if defined(__GLIBC__)
+#include <malloc.h>  // mallinfo2
+#endif
 
 #include "core/trainer.h"
 #include "obs/metrics.h"
@@ -350,6 +357,133 @@ TEST(SessionBudgetTest, ByteBudgetEvictsAndBalances) {
             online.active_sessions() + online.stats().sessions_expired +
                 online.stats().sessions_evicted);
 }
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DM_REPLACED_MALLOC 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DM_REPLACED_MALLOC 1
+#endif
+#endif
+
+#if defined(DM_REPLACED_MALLOC) || !defined(__GLIBC__)
+TEST(SessionBudgetTest, BytesPinnedTracksAllocatorGrowth) {
+  GTEST_SKIP() << "needs glibc's malloc (a sanitizer replaces it)";
+}
+#else
+/// One session of the allocator-growth test: its transactions, stamped
+/// from `ts_micros` on.  `i` numbers the session.
+using SessionShape = std::function<std::vector<dm::http::HttpTransaction>(
+    std::size_t i, std::uint64_t ts_micros)>;
+
+/// A page served by `server` to the client of session `i`; 100 sessions per
+/// client, so the engine's per-client session counter stays negligible.
+dm::http::HttpTransaction probe_txn(std::size_t i, std::string client_prefix,
+                                    std::string server, std::uint64_t ts_micros,
+                                    int status, std::size_t body_bytes) {
+  dm::http::HttpTransaction txn;
+  txn.client_host = std::move(client_prefix) + std::to_string(i % 200 / 100) +
+                    "." + std::to_string(i % 100 + 1);
+  txn.server_host = std::move(server);
+  txn.server_ip = "93.184.216.34";
+  txn.request.method = "GET";
+  txn.request.uri = "/index";
+  txn.request.ts_micros = ts_micros;
+  txn.request.headers.add("User-Agent", "Mozilla/5.0");
+  dm::http::HttpResponse res;
+  res.status_code = status;
+  res.ts_micros = ts_micros + 100;
+  res.headers.add("Content-Type", "text/html");
+  res.body.assign(body_bytes, 'x');
+  txn.response = std::move(res);
+  return txn;
+}
+
+TEST(SessionBudgetTest, BytesPinnedTracksAllocatorGrowth) {
+  // Bytes in use: arena chunks plus mmapped ones (a large vector lands in
+  // either, depending on glibc's moving mmap threshold).
+  const auto allocated_bytes = [] {
+    const auto info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const auto page = [](std::size_t body_bytes) -> SessionShape {
+    return [body_bytes](std::size_t i, std::uint64_t ts) {
+      return std::vector{probe_txn(i, "10.3.", "h" + std::to_string(i) +
+                                                   ".example",
+                                   ts, 200, body_bytes)};
+    };
+  };
+  // Two redirect hops under one long session id: the first implicates its
+  // server and target, so the session allocates its scoped builder; the
+  // second implicates a third host, so the builder is released and
+  // refilled.  Hosts, the client and the id outgrow the small-string
+  // buffer, so every string the session keeps is a heap string.
+  const SessionShape redirect_chain = [](std::size_t i, std::uint64_t ts) {
+    const std::string n = std::to_string(i);
+    const std::string client = "2001:db8:ffff:3::";
+    const std::string cookie = "PHPSESSID=probe-session-" + n;
+    auto first = probe_txn(i, client, "hop-" + n + ".redirect.example", ts,
+                           302, 0);
+    first.request.headers.add("Cookie", cookie);
+    first.response->headers.add("Location",
+                                "http://land-" + n + ".redirect.example/go");
+    auto second = probe_txn(i, client, "land-" + n + ".redirect.example",
+                            ts + 500, 302, 0);
+    second.request.headers.add("Cookie", cookie);
+    second.request.headers.add("Referer",
+                               "http://hop-" + n + ".redirect.example/");
+    second.response->headers.add("Location",
+                                 "http://next-" + n + ".redirect.example/");
+    return std::vector{std::move(first), std::move(second)};
+  };
+  // 20k sessions of each shape, each to its own server hosts so that no
+  // transaction joins an earlier session.  The transactions are built
+  // inside the measured window: what observe() frees of them nets out, and
+  // what the facts keep is allocated there too.  Bodiless pages are
+  // bench_ingest's fill shape; bodies must not be charged once freed.
+  struct Case {
+    std::string name;
+    SessionShape shape;
+    std::size_t rescans_per_session;
+  };
+  const std::vector<Case> cases = {
+      {"bodiless page", page(0), 0},
+      {"2 KiB page", page(2048), 0},
+      {"redirect chain", redirect_chain, 2},
+  };
+  for (const auto& [name, shape, rescans_per_session] : cases) {
+    SCOPED_TRACE(name);
+    OnlineOptions options;
+    options.session_idle_timeout_s = 1e9;  // nothing expires
+    OnlineDetector online(shared_detector(), options);
+    constexpr std::size_t kSessions = 20'000;
+    std::uint64_t ts = kEpoch;
+    // Warm-up, outside the window.
+    for (auto& txn : shape(kSessions, ts)) online.observe(std::move(txn));
+    const std::size_t heap_before = allocated_bytes();
+    const std::size_t pinned_before = online.session_bytes_pinned();
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      ts += 1'000;
+      for (auto& txn : shape(i, ts)) online.observe(std::move(txn));
+    }
+    const std::size_t heap_after = allocated_bytes();
+    ASSERT_EQ(online.active_sessions(), kSessions + 1);
+    ASSERT_EQ(online.stats().scope_rescans,
+              rescans_per_session * (kSessions + 1));
+    ASSERT_EQ(online.stats().clues_fired, 0u);  // no session is scored
+    ASSERT_GT(heap_after, heap_before);
+    const double growth = static_cast<double>(heap_after - heap_before);
+    const double pinned =
+        static_cast<double>(online.session_bytes_pinned() - pinned_before);
+    EXPECT_NEAR(pinned / growth, 1.0, 0.15)
+        << "pinned " << pinned / kSessions << " B/session vs allocator growth "
+        << growth / kSessions << " B/session";
+    std::printf("[ %s ] pinned / allocator growth %.3f (%.0f / %.0f B/session)\n",
+                name.c_str(), pinned / growth, pinned / kSessions,
+                growth / kSessions);
+  }
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Budget invisibility at 1/2/8 shards

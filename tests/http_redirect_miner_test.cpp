@@ -160,6 +160,22 @@ TEST(DecodeObfuscatedTest, CleanTextYieldsEmpty) {
   EXPECT_TRUE(decode_obfuscated_layers("plain body, no obfuscation").empty());
 }
 
+TEST(DecodeObfuscatedTest, EscapesAtTheEdges) {
+  EXPECT_EQ(decode_obfuscated_layers("\\x41rest"), "Arest");  // at the start
+  EXPECT_EQ(decode_obfuscated_layers("lead\\x41"), "leadA");  // at the end
+  EXPECT_EQ(decode_obfuscated_layers("lead\\u0041"), "leadA");
+  // Truncated at the end: not an escape, so layer 1 yields nothing.
+  EXPECT_TRUE(decode_obfuscated_layers("lead\\x4").empty());
+  EXPECT_TRUE(decode_obfuscated_layers("lead\\u004").empty());
+  EXPECT_TRUE(decode_obfuscated_layers("lead\\").empty());
+  // A backslash that starts no escape is kept verbatim beside one that does.
+  EXPECT_EQ(decode_obfuscated_layers("\\\\x41"), "\\A");
+  // A unit >= 128 is consumed but emits nothing.
+  EXPECT_EQ(decode_obfuscated_layers("\\u00e9x\\x41"), "xA");
+  // No backslash: layer 1 is skipped, the later layers still decode.
+  EXPECT_EQ(decode_obfuscated_layers("unescape('%41') atob('QQ==')"), "AA");
+}
+
 class AllTechniquesTest
     : public ::testing::TestWithParam<dm::synth::RedirectTechnique> {};
 
