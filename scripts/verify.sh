@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification sweep: the tier-1 suite on a plain build, one-second
-# pipebench runs for their end-to-end checks, then the labelled
+# pipebench runs for their end-to-end checks and pipebench's own tests,
+# then the labelled
 # concurrency/fault/training/serving suites re-run under ThreadSanitizer and
 # AddressSanitizer instrumented builds.
 #
@@ -27,7 +28,7 @@ run cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 run cmake --build build -j "$JOBS"
 run ctest --test-dir build --output-on-failure
 
-# --- pipebench checks: the archive and edge workloads' shortest runs -------
+# --- pipebench checks: every workload's shortest run, then its own tests ---
 # Exits non-zero unless the decoded stream matches the generated one, the
 # layered whole-capture pass equals http::transactions_from_pcap, the 3-shard
 # alerts equal the 1-thread alerts bit for bit, and some alert is raised.
@@ -35,6 +36,16 @@ run python3 pipebench/run.py --workload archive --seconds 1 --trace 0
 # The same checks on the edge workload: ~2.5k resident sessions, whose
 # session logs and scoped builders hold the facts observe() keeps.
 run python3 pipebench/run.py --workload edge --seconds 1 --trace 0
+# And on catalog, the one workload with both interleaved flows and all 18
+# trace families: the checks compare every reconstructed header and the
+# order of request-time ties.
+run python3 pipebench/run.py --workload catalog --seconds 1 --trace 0
+# pipebench_test (the clean-heap peak-RSS child the peak metrics rest on,
+# percentile selection, span self time), built in the tree run.py
+# configured.
+BENCH_TREE="${CARGO_TARGET_DIR:-.bench_build}/pipebench"
+run cmake --build "$BENCH_TREE" --target pipebench_test -j "$JOBS"
+run ctest --test-dir "$BENCH_TREE" --output-on-failure
 
 if [[ "${DM_VERIFY_SKIP_SANITIZERS:-0}" == "1" ]]; then
   echo

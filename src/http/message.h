@@ -4,32 +4,82 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace dm::http {
 
-struct Header {
-  std::string name;
-  std::string value;
-};
-
-/// Common header-list behavior shared by requests and responses.
+/// A message's header fields in one heap block, in insertion order with
+/// duplicates kept.  Each entry is the name's and the value's lengths (four
+/// bytes each) followed by the name's and the value's bytes, so all of a
+/// message's fields share one allocation.  The block is a
+/// std::vector<char> because its bytes stay put when the message moves: a
+/// view from get() or from iteration outlives a move of the Headers (a
+/// std::string block of 15 bytes or fewer would live inside the object and
+/// move with it).
 class Headers {
  public:
-  void add(std::string name, std::string value);
+  /// Appends one field.  Throws std::length_error when the name or the
+  /// value is longer than its length prefix can count.
+  void add(std::string_view name, std::string_view value);
 
-  /// First header with the given name (case-insensitive); nullopt if absent.
+  /// Block bytes one field takes.  reserve() the sum over a message's
+  /// fields before adding them, and the block is allocated once at its
+  /// exact size.
+  static constexpr std::size_t entry_bytes(std::string_view name,
+                                           std::string_view value) noexcept {
+    return 2 * sizeof(Length) + name.size() + value.size();
+  }
+  void reserve(std::size_t bytes) { block_.reserve(bytes); }
+
+  /// First header with the given name (case-insensitive, RFC 7230); nullopt
+  /// if absent.  The view points into the block.
   std::optional<std::string_view> get(std::string_view name) const noexcept;
 
   bool has(std::string_view name) const noexcept { return get(name).has_value(); }
-  std::size_t size() const noexcept { return headers_.size(); }
-  const std::vector<Header>& all() const noexcept { return headers_; }
+
+  /// Iteration yields (name, value) views into the block, in insertion
+  /// order.
+  class const_iterator {
+   public:
+    using value_type = std::pair<std::string_view, std::string_view>;
+
+    value_type operator*() const noexcept {
+      const char* name = at_ + 2 * sizeof(Length);
+      const std::size_t name_size = load(at_);
+      return {{name, name_size}, {name + name_size, load(at_ + sizeof(Length))}};
+    }
+    const_iterator& operator++() noexcept {
+      const auto value = (**this).second;
+      at_ = value.data() + value.size();
+      return *this;
+    }
+    bool operator==(const const_iterator&) const noexcept = default;
+
+   private:
+    friend class Headers;
+    explicit const_iterator(const char* at) noexcept : at_(at) {}
+    static std::size_t load(const char* at) noexcept {
+      Length n = 0;
+      std::memcpy(&n, at, sizeof n);
+      return n;
+    }
+    const char* at_ = nullptr;
+  };
+
+  const_iterator begin() const noexcept { return const_iterator(block_.data()); }
+  const_iterator end() const noexcept {
+    return const_iterator(block_.data() + block_.size());
+  }
 
  private:
-  std::vector<Header> headers_;
+  using Length = std::uint32_t;
+
+  std::vector<char> block_;
 };
 
 struct HttpRequest {

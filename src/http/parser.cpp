@@ -47,6 +47,14 @@ struct Cursor {
     pos += n;
     return out;
   }
+
+  /// Appends the next `n` bytes to `out`; false when fewer are left.
+  bool append_bytes(std::size_t n, std::string& out) {
+    if (remaining() < n) return false;
+    out.append(stream.data, pos, n);
+    pos += n;
+    return true;
+  }
 };
 
 void quarantine(std::vector<DecodeError>& errors, dm::util::FaultStats* faults,
@@ -59,16 +67,34 @@ void quarantine(std::vector<DecodeError>& errors, dm::util::FaultStats* faults,
   errors.push_back(std::move(error));
 }
 
-bool parse_header_block(Cursor& cursor, Headers& headers) {
+/// Calls `field(name, value)` with the trimmed views of each header line up
+/// to the blank line ending the block; false when the stream ends first.
+template <typename Field>
+bool for_each_field(Cursor& cursor, Field&& field) {
   while (true) {
     const auto line = cursor.read_line();
     if (!line) return false;  // incomplete block
     if (line->empty()) return true;
     const auto colon = line->find(':');
     if (colon == std::string_view::npos) continue;  // tolerate garbage lines
-    headers.add(std::string(trim(line->substr(0, colon))),
-                std::string(trim(line->substr(colon + 1))));
+    field(trim(line->substr(0, colon)), trim(line->substr(colon + 1)));
   }
+}
+
+/// Two walks over the block: the first sizes it, so the second adds every
+/// field into one allocation of exactly that size.
+bool parse_header_block(Cursor& cursor, Headers& headers) {
+  Cursor sizing = cursor;
+  std::size_t bytes = 0;
+  if (!for_each_field(sizing, [&](std::string_view name, std::string_view value) {
+        bytes += Headers::entry_bytes(name, value);
+      })) {
+    return false;
+  }
+  headers.reserve(bytes);
+  return for_each_field(cursor, [&](std::string_view name, std::string_view value) {
+    headers.add(name, value);
+  });
 }
 
 /// Reads a chunked body.  The error distinguishes a stream that merely ends
@@ -112,15 +138,18 @@ dm::util::Expected<std::string> read_chunked_body(Cursor& cursor) {
           return fail(DecodeErrorCode::kHttpTruncatedMessage,
                       "stream ends inside chunk trailer");
         }
-        if (t->empty()) return body;
+        if (t->empty()) {
+          // The body grew geometrically; it lives as long as its
+          // transaction, so it leaves at its exact size.
+          body.shrink_to_fit();
+          return body;
+        }
       }
     }
-    auto chunk = cursor.read_bytes(chunk_size);
-    if (!chunk) {
+    if (!cursor.append_bytes(chunk_size, body)) {
       return fail(DecodeErrorCode::kHttpTruncatedMessage,
                   "stream ends inside chunk");
     }
-    body += *chunk;
     const auto crlf = cursor.read_line();
     if (!crlf) {
       return fail(DecodeErrorCode::kHttpTruncatedMessage,

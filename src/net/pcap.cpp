@@ -62,6 +62,22 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
+/// Records the decode loop will keep from `r` on: it stops at an oversized
+/// record or a truncated one, and so does this count.
+std::size_t count_kept_records(Reader r, bool swapped,
+                               std::size_t max_record_bytes) {
+  std::size_t kept = 0;
+  while (r.remaining(kRecordHeaderSize)) {
+    r.skip(8);  // ts_sec, ts_frac
+    const std::uint32_t incl_len = r.u32(swapped);
+    r.skip(4);  // orig_len
+    if (incl_len > max_record_bytes || !r.remaining(incl_len)) break;
+    r.skip(incl_len);
+    ++kept;
+  }
+  return kept;
+}
+
 void quarantine(PcapViewDecodeResult& result, dm::util::FaultStats* faults,
                 DecodeError error) {
   if (faults) faults->record(error);
@@ -127,6 +143,10 @@ PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
   r.skip(4 + 4 + 4 + 4);  // version, thiszone, sigfigs, snaplen
   result.file.link_type = r.u32(swapped);
 
+  // A walk over the record headers first, so the packet array is allocated
+  // once at its final size instead of doubling through the decode.
+  result.file.packets.reserve(
+      count_kept_records(r, swapped, options.max_record_bytes));
   while (r.remaining(kRecordHeaderSize)) {
     const std::size_t record_start = r.pos();
     const std::uint32_t ts_sec = r.u32(swapped);

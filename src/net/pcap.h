@@ -103,7 +103,9 @@ struct PcapViewDecodeResult {
 
 /// Best-effort zero-copy decode.  Never throws on malformed input; every
 /// fault is appended to `errors` and (when given) counted in `faults`.  The
-/// result aliases `bytes` (see PcapPacketView lifetime rule).
+/// result aliases `bytes` (see PcapPacketView lifetime rule).  A first walk
+/// over the record headers counts the records the decode keeps, so the
+/// packet array is allocated once and its capacity equals its size.
 PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
                                       const PcapDecodeOptions& options = {},
                                       dm::util::FaultStats* faults = nullptr);

@@ -11,14 +11,14 @@ namespace {
 void render_headers(std::string& out, const dm::http::Headers& headers,
                     std::size_t body_size, bool force_content_length) {
   bool saw_content_length = false;
-  for (const auto& h : headers.all()) {
-    if (h.name == "Content-Length") {
+  for (const auto& [name, value] : headers) {
+    if (name == "Content-Length") {
       // Always serialize a length that matches the actual body.
       out += "Content-Length: " + std::to_string(body_size) + "\r\n";
       saw_content_length = true;
       continue;
     }
-    out += h.name + ": " + h.value + "\r\n";
+    out.append(name).append(": ").append(value).append("\r\n");
   }
   if (!saw_content_length && (force_content_length || body_size > 0)) {
     out += "Content-Length: " + std::to_string(body_size) + "\r\n";

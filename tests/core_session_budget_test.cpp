@@ -36,11 +36,9 @@
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
-#if defined(__GLIBC__)
-#include <malloc.h>  // mallinfo2
-#endif
 
 #include "core/trainer.h"
+#include "malloc_probe.h"
 #include "obs/metrics.h"
 #include "runtime/sharded_online.h"
 #include "synth/dataset.h"
@@ -358,15 +356,7 @@ TEST(SessionBudgetTest, ByteBudgetEvictsAndBalances) {
                 online.stats().sessions_evicted);
 }
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define DM_REPLACED_MALLOC 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define DM_REPLACED_MALLOC 1
-#endif
-#endif
-
-#if defined(DM_REPLACED_MALLOC) || !defined(__GLIBC__)
+#ifndef DM_GLIBC_MALLOC
 TEST(SessionBudgetTest, BytesPinnedTracksAllocatorGrowth) {
   GTEST_SKIP() << "needs glibc's malloc (a sanitizer replaces it)";
 }
@@ -400,12 +390,6 @@ dm::http::HttpTransaction probe_txn(std::size_t i, std::string client_prefix,
 }
 
 TEST(SessionBudgetTest, BytesPinnedTracksAllocatorGrowth) {
-  // Bytes in use: arena chunks plus mmapped ones (a large vector lands in
-  // either, depending on glibc's moving mmap threshold).
-  const auto allocated_bytes = [] {
-    const auto info = mallinfo2();
-    return info.uordblks + info.hblkhd;
-  };
   const auto page = [](std::size_t body_bytes) -> SessionShape {
     return [body_bytes](std::size_t i, std::uint64_t ts) {
       return std::vector{probe_txn(i, "10.3.", "h" + std::to_string(i) +
@@ -460,13 +444,13 @@ TEST(SessionBudgetTest, BytesPinnedTracksAllocatorGrowth) {
     std::uint64_t ts = kEpoch;
     // Warm-up, outside the window.
     for (auto& txn : shape(kSessions, ts)) online.observe(std::move(txn));
-    const std::size_t heap_before = allocated_bytes();
+    const std::size_t heap_before = heap_bytes_in_use();
     const std::size_t pinned_before = online.session_bytes_pinned();
     for (std::size_t i = 0; i < kSessions; ++i) {
       ts += 1'000;
       for (auto& txn : shape(i, ts)) online.observe(std::move(txn));
     }
-    const std::size_t heap_after = allocated_bytes();
+    const std::size_t heap_after = heap_bytes_in_use();
     ASSERT_EQ(online.active_sessions(), kSessions + 1);
     ASSERT_EQ(online.stats().scope_rescans,
               rescans_per_session * (kSessions + 1));

@@ -52,6 +52,25 @@ TEST(HttpParserTest, IncompleteBodyDropped) {
   EXPECT_TRUE(reqs.empty());
 }
 
+TEST(HttpParserTest, ChunkedBodyIsExactlySized) {
+  // 65 chunks of 1,000 bytes.  Appended chunk by chunk, a body's capacity
+  // doubles past its size (to 128,000 bytes), and the body lives as long as
+  // its transaction.
+  std::string wire = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+  std::string want;
+  for (int i = 0; i < 65; ++i) {
+    const std::string chunk(1000, static_cast<char>('a' + i % 26));
+    wire += "3e8\r\n" + chunk + "\r\n";
+    want += chunk;
+  }
+  wire += "0\r\n\r\n";
+  const auto resps = parse_responses(stream_of(wire), false);
+  ASSERT_EQ(resps.size(), 1u);
+  EXPECT_EQ(resps[0].body, want);
+  EXPECT_LE(resps[0].body.capacity(),
+            resps[0].body.size() + std::string().capacity());
+}
+
 TEST(HttpParserTest, SimpleResponseWithContentLength) {
   const auto resps = parse_responses(
       stream_of("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"

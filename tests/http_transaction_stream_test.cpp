@@ -7,7 +7,10 @@
 // must give the oracle's ordered transactions, every field compared, and
 // its fault counts.  Inputs cover what could tell the two apart: flow
 // order on request-time ties, a 4-tuple reused after FIN, undecodable
-// frames, and the seeded fault mutators.
+// frames, and the seeded fault mutators.  Further fences pin the stream's
+// storage: one reservation of the output when nothing is pipelined, growth
+// when pipelining makes that reservation fall short, and allocator growth
+// close to the stream's own bytes.
 // Runs in the `fault` ctest label (re-run under both sanitizers).
 #include "http/transaction_stream.h"
 
@@ -15,6 +18,7 @@
 #include <gtest/gtest-spi.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -23,7 +27,9 @@
 
 #include "fault_inject.h"
 #include "http/parser.h"
+#include "malloc_probe.h"
 #include "net/packet.h"
+#include "net/packet_builder.h"
 #include "net/pcap.h"
 #include "net/tcp_reassembly.h"
 #include "synth/families.h"
@@ -74,7 +80,7 @@ dm::net::PcapFileView view_of(const PcapFile& capture) {
 std::vector<std::pair<std::string, std::string>> fields_of(
     const dm::http::Headers& headers) {
   std::vector<std::pair<std::string, std::string>> out;
-  for (const auto& h : headers.all()) out.emplace_back(h.name, h.value);
+  for (const auto& [name, value] : headers) out.emplace_back(name, value);
   return out;
 }
 
@@ -276,6 +282,102 @@ TEST(FlowAtATimeReconstructionTest, FaultMutatorsOverSeeds) {
   }
 }
 
+/// Frames carrying data to a server: the client data segments.
+std::size_t client_data_segments(const PcapFile& capture) {
+  std::size_t segments = 0;
+  for (const std::size_t i : dm::faultinject::data_frame_indices(capture)) {
+    segments += dm::net::parse_ethernet_ipv4_tcp(capture.packets[i].data)->dst_port == 80;
+  }
+  return segments;
+}
+
+TEST(FlowAtATimeReconstructionTest, UnpipelinedStreamIsReservedOnce) {
+  // Seven transactions over three keep-alive connections, none pipelined.
+  // The POST's 5,000-byte body spans four client segments and is still one
+  // request.
+  const std::uint64_t start = 1'600'000'000ULL * 1'000'000;
+  const std::string hosts[] = {"a.example", "a.example", "b.example", "c.example",
+                               "b.example", "c.example", "a.example"};
+  dm::synth::Episode episode;
+  for (std::size_t k = 0; k < std::size(hosts); ++k) {
+    HttpTransaction txn;
+    txn.client_host = "10.9.0.1";
+    txn.server_host = hosts[k];
+    txn.request.method = k == 2 ? "POST" : "GET";
+    txn.request.uri = "/page" + std::to_string(k);
+    txn.request.ts_micros = start + k * 10'000;
+    txn.request.headers.add("Host", hosts[k]);
+    if (k == 2) txn.request.body.assign(5'000, 'p');
+    dm::http::HttpResponse res;
+    res.status_code = 200;
+    res.ts_micros = txn.request.ts_micros + 2'000;
+    res.headers.add("Content-Type", "text/html");
+    res.body = "<html>" + std::to_string(k) + "</html>";
+    txn.response = std::move(res);
+    episode.transactions.push_back(std::move(txn));
+  }
+  const PcapFile capture = dm::synth::episode_to_pcap(episode);
+  ASSERT_EQ(client_data_segments(capture), std::size(hosts) + 3);
+
+  const auto owning = dm::http::transactions_from_pcap(capture);
+  const auto view = dm::http::transactions_from_pcap(view_of(capture));
+  ASSERT_EQ(owning.size(), std::size(hosts));
+  EXPECT_EQ(owning[2].request.body.size(), 5'000u);
+  EXPECT_EQ(owning.capacity(), owning.size()) << "PcapFile";
+  EXPECT_EQ(view.capacity(), view.size()) << "PcapFileView";
+  expect_matches_oracle(capture, "unpipelined");
+}
+
+TEST(FlowAtATimeReconstructionTest, PipelinedRequestsOutgrowTheReservation) {
+  // Client 1 pipelines three GETs in one segment and gets the three answers
+  // in one; client 2 sends three GETs one at a time, its first at the same
+  // instant.  Four runs of client data hold six requests, so the output's
+  // reservation falls short and the vector must grow; the three pipelined
+  // requests and client 2's first tie on request time.
+  const std::uint64_t start = 1'600'000'000ULL * 1'000'000;
+  const auto server = dm::net::Ipv4Address::from_octets(93, 184, 216, 34);
+  const auto request = [](int k) {
+    dm::http::HttpRequest req;
+    req.method = "GET";
+    req.uri = "/p" + std::to_string(k);
+    req.headers.add("Host", "pipelined.example");
+    return dm::synth::render_request(req);
+  };
+  const auto response = [](int k) {
+    dm::http::HttpResponse res;
+    res.status_code = 200;
+    res.headers.add("Content-Type", "text/html");
+    res.body = "<p>" + std::to_string(k) + "</p>";
+    return dm::synth::render_response(res);
+  };
+  PcapFile capture;
+  dm::net::TcpConversationBuilder pipelined(
+      dm::net::Ipv4Address::from_octets(10, 9, 0, 1), 40200, server, 80);
+  pipelined.handshake(start);
+  pipelined.client_send(start + 2'000, request(0) + request(1) + request(2));
+  pipelined.server_send(start + 3'000, response(0) + response(1) + response(2));
+  pipelined.teardown(start + 4'000);
+  dm::net::TcpConversationBuilder sequential(
+      dm::net::Ipv4Address::from_octets(10, 9, 0, 2), 40200, server, 80);
+  sequential.handshake(start);
+  for (int k = 0; k < 3; ++k) {
+    sequential.client_send(start + 2'000 + k * 1'500, request(3 + k));
+    sequential.server_send(start + 2'700 + k * 1'500, response(3 + k));
+  }
+  sequential.teardown(start + 8'000);
+  append(capture, {1, pipelined.take_packets()});
+  append(capture, {1, sequential.take_packets()});
+  sort_by_time(capture);
+  ASSERT_EQ(client_data_segments(capture), 4u);
+
+  const auto txns = dm::http::transactions_from_pcap(capture);
+  ASSERT_EQ(txns.size(), 6u);
+  for (std::size_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(txns[i].request.ts_micros, txns[0].request.ts_micros) << i;
+  }
+  EXPECT_EQ(expect_matches_oracle(capture, "pipelined"), 6u);
+}
+
 TEST(FlowAtATimeReconstructionTest, FenceFailsWhenTheOracleMissesAPayloadPacket) {
   // The oracle is fed the capture minus one payload packet: the fence's
   // comparison must object.
@@ -290,5 +392,75 @@ TEST(FlowAtATimeReconstructionTest, FenceFailsWhenTheOracleMissesAPayloadPacket)
   EXPECT_NONFATAL_FAILURE(expect_same_stream(got, want, "tampered"),
                           "tampered: stream differs from the whole-capture oracle");
 }
+
+
+#ifndef DM_GLIBC_MALLOC
+TEST(FlowAtATimeReconstructionTest, AllocatorGrowthTracksStreamContent) {
+  GTEST_SKIP() << "needs glibc's malloc (a sanitizer replaces it)";
+}
+#else
+/// The bytes a stream holds: each string's size, header names and values
+/// included, plus one transaction shell per element.
+std::size_t content_bytes(const std::vector<HttpTransaction>& txns) {
+  const auto fields = [](const dm::http::Headers& headers) {
+    std::size_t n = 0;
+    for (const auto& [name, value] : headers) n += name.size() + value.size();
+    return n;
+  };
+  std::size_t total = txns.size() * sizeof(HttpTransaction);
+  for (const auto& t : txns) {
+    total += t.client_host.size() + t.server_host.size() + t.server_ip.size() +
+             t.request.method.size() + t.request.uri.size() +
+             t.request.version.size() + fields(t.request.headers) +
+             t.request.body.size();
+    if (t.response) {
+      total += t.response->reason.size() + t.response->version.size() +
+               fields(t.response->headers) + t.response->body.size();
+    }
+  }
+  return total;
+}
+
+TEST(FlowAtATimeReconstructionTest, AllocatorGrowthTracksStreamContent) {
+  // The catalog shape at a tenth of its size: the 18-family round robin,
+  // one client address per episode, episodes 200 ms apart so their flows
+  // interleave, written out and decoded back as a capture read from disk.
+  const auto& catalog = dm::synth::trace_family_catalog();
+  PcapFile merged;
+  std::size_t generated = 0;
+  for (std::size_t i = 0; generated < 5'000; ++i) {
+    auto episode = dm::synth::episode_for_family(dm::util::stream_seed(7, i),
+                                                 catalog[i % catalog.size()]);
+    if (episode.transactions.empty()) continue;
+    rebase(episode, 1'500'000'000ULL * 1'000'000 + i * 200'000);
+    for (auto& txn : episode.transactions) {
+      txn.client_host = "10.8." + std::to_string(i / 250) + "." +
+                        std::to_string(i % 250 + 2);
+    }
+    generated += episode.transactions.size();
+    append(merged, dm::synth::episode_to_pcap(episode));
+  }
+  sort_by_time(merged);
+  const auto bytes = dm::net::write_pcap(merged);
+  merged = {};
+  const auto capture = dm::net::decode_pcap_view(bytes);
+
+  // Warm-up, outside the window: the first reconstruction also builds the
+  // process-wide metric registry and other lazily made statics.
+  (void)dm::http::transactions_from_pcap(family_capture(41, catalog.front()));
+  const std::size_t before = heap_bytes_in_use();
+  const auto txns = dm::http::transactions_from_pcap(capture.file);
+  const std::size_t after = heap_bytes_in_use();
+  ASSERT_GE(txns.size(), 5'000u);
+  ASSERT_GT(after, before);
+  const double content = static_cast<double>(content_bytes(txns));
+  const double growth = static_cast<double>(after - before);
+  EXPECT_LE(growth / content, 1.10)
+      << "allocator growth " << growth / txns.size() << " B/transaction vs content "
+      << content / txns.size() << " B/transaction";
+  std::printf("[ catalog, %zu transactions ] allocator growth / content %.3f\n",
+              txns.size(), growth / content);
+}
+#endif
 
 }  // namespace

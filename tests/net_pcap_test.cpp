@@ -58,6 +58,43 @@ TEST(PcapTest, DropsTruncatedFinalRecord) {
   EXPECT_EQ(parsed.packets.size(), 2u);
 }
 
+TEST(PcapTest, ViewDecodeSizesThePacketArrayExactly) {
+  // Seven records of 10..16 bytes; a doubling array would end with room for
+  // eight, or for four after three.
+  PcapFile file;
+  for (std::uint8_t i = 0; i < 7; ++i) {
+    file.packets.push_back({1000000u + i, std::vector<std::uint8_t>(10 + i, i)});
+  }
+  const auto bytes = write_pcap(file);
+  const auto expect_exact = [](const PcapViewDecodeResult& result,
+                               std::size_t kept, const char* what) {
+    EXPECT_EQ(result.file.packets.size(), kept) << what;
+    EXPECT_EQ(result.file.packets.capacity(), result.file.packets.size()) << what;
+  };
+
+  expect_exact(decode_pcap_view(bytes), 7, "clean");
+
+  auto cut_record = bytes;
+  cut_record.pop_back();  // the last record loses a byte of its data
+  const auto truncated = decode_pcap_view(cut_record);
+  EXPECT_TRUE(truncated.truncated_tail);
+  expect_exact(truncated, 6, "truncated record");
+
+  auto cut_header = bytes;
+  cut_header.insert(cut_header.end(), 9, 0);  // a record header cut mid-write
+  const auto trailing = decode_pcap_view(cut_header);
+  EXPECT_TRUE(trailing.truncated_tail);
+  expect_exact(trailing, 7, "cut record header");
+
+  PcapDecodeOptions options;
+  options.max_record_bytes = 12;  // the fourth record (13 bytes) is oversized
+  const auto oversized = decode_pcap_view(bytes, options);
+  ASSERT_EQ(oversized.errors.size(), 1u);
+  EXPECT_EQ(oversized.errors.front().code,
+            dm::util::DecodeErrorCode::kPcapOversizedRecord);
+  expect_exact(oversized, 3, "oversized record");
+}
+
 TEST(PcapTest, ReadsNanosecondMagic) {
   auto bytes = write_pcap(sample_file());
   // Rewrite magic to little-endian nanosecond variant.
