@@ -34,7 +34,7 @@ run ctest --test-dir build --output-on-failure
 # alerts equal the 1-thread alerts bit for bit, and some alert is raised.
 run python3 pipebench/run.py --workload archive --seconds 1 --trace 0
 # The same checks on the edge workload: ~2.5k resident sessions, whose
-# session logs and scoped builders hold the facts observe() keeps.
+# session logs hold the facts observe() keeps.
 run python3 pipebench/run.py --workload edge --seconds 1 --trace 0
 # And on catalog, the one workload with both interleaved flows and all 18
 # trace families: the checks compare every reconstructed header and the
@@ -58,9 +58,12 @@ fi
 # asan watches the fuzz fences, fault injection, and the store's recovery
 # path; perf adds the budgeted session-lifecycle fences (idle expiry, LRU
 # eviction, sharded determinism); synth adds the trace-family determinism,
-# adversarial detection-path and 18-family shard-identity fences.  Both
-# sanitizers run the same label union so nothing labelled escapes either.
-LABELS="obs|fault|train|serve|perf|synth"
+# adversarial detection-path and 18-family shard-identity fences; tsan adds
+# the tests that carry only that label (the MPMC queue, the worker pool, the
+# sharded engine and its ingest paths, the logger, the detector).
+# Both sanitizers run the same label union so nothing labelled escapes
+# either.
+LABELS="obs|fault|train|serve|perf|synth|tsan"
 
 run cmake -B build-tsan -S . -DDM_SANITIZE=thread
 run cmake --build build-tsan -j "$JOBS"

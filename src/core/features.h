@@ -42,9 +42,9 @@ struct FeatureExtractorOptions {
 /// (payload tallies, header counters, URIs, node retyping) leave the
 /// version untouched and hit the cache; a new node or edge misses.
 ///
-/// A cache is only meaningful against one live Wcg evolved in place (the
-/// incremental builder's) and one MetricsOptions value; reuse across
-/// different graphs is detected via the pointer key and simply misses.
+/// A cache is only meaningful against one live Wcg evolved in place (a
+/// WcgFold's) and one MetricsOptions value; reuse across different graphs
+/// is detected via the pointer key and simply misses.
 struct FeatureCache {
   const Wcg* wcg = nullptr;
   std::uint64_t topology_version = 0;
@@ -52,8 +52,6 @@ struct FeatureCache {
   // Diagnostics for tests/bench.
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-
-  void invalidate() noexcept { wcg = nullptr; }
 };
 
 /// Extracts the full 37-dimensional feature vector from a WCG.

@@ -29,15 +29,6 @@ std::string referrer_host_of(const TxnFacts& txn) {
   return txn.has_referrer ? dm::http::host_of_url(txn.referrer) : std::string();
 }
 
-/// Whether a transaction belongs to the potential-infection scope: it
-/// touches an implicated host as server or referrer.
-bool clue_related(const TxnFacts& txn,
-                  const std::set<std::string>& suspicious_hosts) {
-  if (suspicious_hosts.count(txn.server_host) > 0) return true;
-  const std::string host = referrer_host_of(txn);
-  return !host.empty() && suspicious_hosts.count(host) > 0;
-}
-
 /// Consecutive quarantined queries in one session before the failure is
 /// treated as a burst (a stronger forensic signal than one-off faults).
 constexpr std::uint32_t kQuarantineBurstRun = 3;
@@ -55,7 +46,7 @@ std::uint64_t score_microunits(double score) noexcept {
 /// The chunk malloc reserves for an `n`-byte request: a size word of header,
 /// rounded up to malloc's alignment, and never less than four words
 /// (glibc's layout).  Sessions make many small allocations, so this
-/// overhead is about 15% of a redirect-chain session's storage.
+/// overhead is about a fifth of a redirect-chain session's storage.
 constexpr std::size_t chunk_bytes(std::size_t n) noexcept {
   constexpr std::size_t word = sizeof(std::size_t);
   constexpr std::size_t align = alignof(std::max_align_t);
@@ -147,8 +138,6 @@ OnlineDetector::OnlineDetector(std::shared_ptr<const Detector> detector,
                                        : &dm::obs::trace_sink()),
       flight_(options_.flight != nullptr ? options_.flight
                                          : &dm::obs::flight_recorder()),
-      shared_builder_options_(
-          std::make_shared<const BuilderOptions>(options_.builder)),
       sess_obs_(options_.metrics != nullptr
                     ? dm::obs::SessionMetrics::of(*options_.metrics)
                     : dm::obs::session_metrics()),
@@ -351,6 +340,11 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
         session.clue_host = txn.server_host;
         pin_bytes(session, heap_bytes(session.clue_host));
         session.clue_payload = txn.payload;
+        // Going back in time (§V-B) starts here: the first verdict below
+        // folds the log from its first fact.  The fold's state is charged
+        // once; the WCG it builds is not (see session_bytes_pinned).
+        session.scoped = std::make_unique<WcgFold>();
+        pin_bytes(session, chunk_bytes(sizeof(WcgFold)));
         ++stats_.clues_fired;
         obs_.detect_clues.add(1);
         dm::obs::trace_instant(dm::obs::TraceOp::kClue,
@@ -374,11 +368,6 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
       insert_host(session, session.suspicious_hosts, txn.server_host);
     }
   }
-
-  // Keep the scoped (clue-related) builder in lockstep with the stream so
-  // the first post-clue verdict only folds a delta, never the whole
-  // session history.
-  maintain_scope(session);
 
   // --- Classification -----------------------------------------------------
   // Once a clue has fired, every update re-extracts features and queries
@@ -451,62 +440,21 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
   return alert;
 }
 
-void OnlineDetector::maintain_scope(Session& session) {
-  // No implicated host, nothing clue-related: the builder is not allocated
-  // until the first one, whose growth below refilters from the start.
-  if (session.suspicious_hosts.empty()) return;
-  if (session.scope_suspicious_seen != session.suspicious_hosts.size()) {
-    // A host became suspicious retroactively: transactions already rejected
-    // may be related now.  Refilter from the start — the only O(n) event,
-    // and it happens at most once per new implicated host.
-    session.scoped = std::make_unique<WcgBuilder>(shared_builder_options_);
-    bytes_pinned_ -= session.scoped_bytes;
-    session.approx_bytes -= session.scoped_bytes;
-    sess_obs_.bytes_pinned.add(
-        -static_cast<std::int64_t>(session.scoped_bytes));
-    session.scoped_bytes = chunk_bytes(sizeof(WcgBuilder));
-    pin_bytes(session, session.scoped_bytes);
-    session.scope_consumed = 0;
-    session.scope_suspicious_seen = session.suspicious_hosts.size();
-    // The rebuilt scoped WCG may land at a freed one's address with a
-    // restarted topology version, so the (pointer, version) cache key
-    // cannot detect the swap on its own.
-    session.feature_cache.invalidate();
-    session.scope_eval_valid = false;
-    ++stats_.scope_rescans;
-  }
-  for (; session.scope_consumed < session.log.size(); ++session.scope_consumed) {
-    const auto& txn = session.log[session.scope_consumed];
-    if (!clue_related(txn, session.suspicious_hosts)) continue;
-    const std::size_t slots = session.scoped->facts_capacity();
-    const bool first = session.scoped->transaction_count() == 0;
-    TxnFacts copy = txn;
-    const std::size_t copy_bytes = heap_bytes(copy);
-    if (session.scoped->add(std::move(copy), session.client)) {
-      const std::size_t bytes =
-          buffer_bytes<TxnFacts>(session.scoped->facts_capacity()) -
-          buffer_bytes<TxnFacts>(slots) + copy_bytes +
-          (first ? heap_bytes(session.client) : 0);
-      session.scoped_bytes += bytes;
-      pin_bytes(session, bytes);
-    }
-  }
-}
-
 std::optional<Alert> OnlineDetector::classify_session(
     Session& session, const TxnFacts& txn, const HttpTransaction& arriving) {
   auto verdict_span = timer_.span(obs_.stage_verdict_ns);
   dm::obs::ScopedTraceSpan verdict_tspan(dm::obs::TraceOp::kVerdict);
 
-  // Short-circuit: the scoped WCG is a pure function of the scoped
-  // transaction list, so if nothing joined the scope since the last
+  // Short-circuit: the scoped WCG is a pure function of the facts in
+  // scope, so if none joined and the scope did not grow since the last
   // completed evaluation the verdict cannot change — and a changed verdict
   // below threshold is the only way this path continues (at or above it
   // the session was terminated).  Skipping is therefore alert-equivalent
   // to re-scoring.  Failed queries clear scope_eval_valid, so a faulting
   // classifier is retried on every update, never silently skipped.
+  WcgFold& scoped = *session.scoped;
   if (session.scope_eval_valid &&
-      session.scoped->transaction_count() == session.scope_eval_txns) {
+      !scoped.needs_update(session.log, &session.suspicious_hosts)) {
     ++stats_.queries_skipped_unchanged;
     verdict_span.cancel();
     return std::nullopt;
@@ -514,17 +462,16 @@ std::optional<Alert> OnlineDetector::classify_session(
 
   auto wcg_span = timer_.span(obs_.stage_wcg_build_ns);
   dm::obs::ScopedTraceSpan wcg_tspan(dm::obs::TraceOp::kWcgBuild);
-  const Wcg& wcg = session.scoped->current();  // folds the pending delta
+  const std::uint64_t scope_refolds = scoped.scope_refolds();
+  const Wcg& wcg = scoped.update(options_.builder, session.log, session.client,
+                                 &session.suspicious_hosts);
+  stats_.scope_rescans += scoped.scope_refolds() - scope_refolds;
   wcg_tspan.set_arg(wcg.node_count());
   wcg_tspan.end();
   wcg_span.stop();
 
-  const auto mark_evaluated = [&] {
-    session.scope_eval_txns = session.scoped->transaction_count();
-    session.scope_eval_valid = true;
-  };
   if (wcg.node_count() < 2) {
-    mark_evaluated();  // deterministic outcome: no query
+    session.scope_eval_valid = true;  // deterministic outcome: no query
     verdict_span.cancel();  // nothing was classified
     return std::nullopt;
   }
@@ -551,7 +498,7 @@ std::optional<Alert> OnlineDetector::classify_session(
                           "online: classifier failure quarantined");
     return std::nullopt;
   }
-  mark_evaluated();
+  session.scope_eval_valid = true;
   obs_.detect_verdicts.add(1);
   dm::obs::trace_instant(dm::obs::TraceOp::kVerdictScore,
                          score_microunits(score));

@@ -71,7 +71,7 @@ struct SessionBudget {
   /// sessions of one page or of two redirect hops it reads 0.98-0.99 of
   /// the allocator's growth (core_session_budget_test); it leaves out the
   /// engine's per-client session counters and the WCG a scored session's
-  /// builder has built.
+  /// fold has built.
   std::size_t max_bytes = 0;
 };
 
@@ -161,8 +161,9 @@ struct OnlineStats {
   /// zero when the budget is unbounded.
   std::size_t sessions_evicted = 0;
   // Hot-path diagnostics:
-  /// Scope refilters forced by suspicious_hosts growing (a host implicated
-  /// retroactively re-admits earlier transactions).
+  /// Folds of a session's scope from the start of its log: the first when
+  /// its clue fires, then one per later growth of suspicious_hosts (a host
+  /// implicated retroactively may admit earlier transactions).
   std::size_t scope_rescans = 0;
   /// Classifier queries skipped because the scoped WCG was unchanged since
   /// the last completed evaluation (identical input -> identical verdict).
@@ -205,8 +206,8 @@ class OnlineDetector {
   /// Bytes pinned by resident session state — the quantity
   /// SessionBudget::max_bytes caps: each session's map node and deadline
   /// filing, its strings that outgrew the small-string buffer, its host-set
-  /// nodes, the capacity of its log and of its scoped builder's facts store,
-  /// each fact's heap strings, the builder itself and the flight ring,
+  /// nodes, the capacity of its log, each fact's heap strings, the scoped
+  /// fold's state (once, when the clue allocates it) and the flight ring,
   /// derived from sizeof and capacity(), each allocation charged with
   /// malloc's chunk header and rounding.
   std::size_t session_bytes_pinned() const noexcept { return bytes_pinned_; }
@@ -231,7 +232,8 @@ class OnlineDetector {
     /// targets, the triggering download host, and post-clue call-back
     /// candidates.  The potential-infection WCG (§V-B "goes back in time")
     /// is built from the session transactions touching these hosts, so a
-    /// malicious flow is not diluted by co-resident benign traffic.
+    /// malicious flow is not diluted by co-resident benign traffic.  Grows
+    /// only.
     std::set<std::string> suspicious_hosts;
     std::set<std::string> hosts_before_clue;
     std::string clue_host;  // host serving the clue download
@@ -243,31 +245,21 @@ class OnlineDetector {
     bool clue_latency_recorded = false;
 
     // --- Scoring state ---------------------------------------------------
-    /// Delta-maintained scoped builder: copies of the facts of exactly the
-    /// clue-related subsequence of `log`, appended as transactions arrive so
-    /// the first post-clue verdict needs no O(n) backfill.  Null until the
-    /// first host is implicated — most sessions never implicate one, and
-    /// the builder is over half of a session's footprint.  A clue implicates
-    /// its download host, so a session being scored always has one.
-    std::unique_ptr<WcgBuilder> scoped;
-    /// How many of `log`'s transactions have been filtered into `scoped`;
-    /// the suffix beyond it is the pending delta.
-    std::size_t scope_consumed = 0;
-    /// |suspicious_hosts| when the scope was last filtered.  Growth means a
-    /// host was implicated retroactively, so earlier transactions may now
-    /// be related: maintain_scope() refilters from the start (the only
-    /// full-rescan trigger).
-    std::size_t scope_suspicious_seen = 0;
-    /// Graph-metrics memo for the scoped WCG; explicitly invalidated on
-    /// scope rescans (the rebuilt WCG may reuse a freed one's address, so
-    /// the (pointer, version) key alone cannot see the swap).
+    /// The potential-infection WCG: a fold of `log`, the session's one
+    /// record of its transactions, through suspicious_hosts.  Allocated
+    /// when the clue fires — most sessions never fire one — and driven by
+    /// classify_session; it refolds in place when suspicious_hosts has
+    /// grown since its last update.
+    std::unique_ptr<WcgFold> scoped;
+    /// Graph-metrics memo for the scoped WCG.  Its (address, topology
+    /// version) key needs no invalidation: the fold keeps one address and
+    /// only raises the version.
     FeatureCache feature_cache;
-    /// Scoped transaction count at the last *completed* evaluation, and
-    /// whether one completed: lets classify_session skip the query when the
-    /// scoped WCG is provably unchanged.  A failed (throwing) query clears
-    /// the flag so faults are retried on the next update, preserving the
-    /// quarantine semantics of the fault harness.
-    std::size_t scope_eval_txns = 0;
+    /// Whether the scoped WCG as of its last update has a completed
+    /// evaluation: classify_session skips the query while the fold has
+    /// nothing new.  A failed (throwing) query clears it so faults are
+    /// retried on the next update, preserving the quarantine semantics of
+    /// the fault harness.
     bool scope_eval_valid = false;
 
     // --- Causal tracing (populated lazily while the sink is enabled) -----
@@ -287,9 +279,6 @@ class OnlineDetector {
     /// Bytes this session's storage allocates (see session_bytes_pinned):
     /// grown as it allocates, released in full when it is erased.
     std::size_t approx_bytes = 0;
-    /// The `scoped` builder's share of approx_bytes (the builder and its
-    /// facts), released and re-grown across scope rescans.
-    std::size_t scoped_bytes = 0;
     /// Intrusive LRU list by stream recency (std::map nodes are
     /// address-stable).  Head = least recently active = first evicted.
     Session* lru_prev = nullptr;
@@ -298,12 +287,6 @@ class OnlineDetector {
 
   /// Why a session left the map; each cause has its own dm.session.* counter.
   enum class EvictCause { kIdle, kAlerted, kBudgetSessions, kBudgetBytes };
-
-  /// Folds new `log` transactions into `session.scoped`,
-  /// refiltering from scratch when suspicious_hosts grew.  Called on every
-  /// observe() so the work is amortized across the stream instead of
-  /// landing on the first post-clue verdict.
-  void maintain_scope(Session& session);
 
   Session& find_or_create_session(const dm::http::HttpTransaction& txn,
                                   const std::optional<std::string>& sid);
@@ -349,10 +332,6 @@ class OnlineDetector {
   /// consume the log budget of every other detector.  Makes the class
   /// non-movable, which is fine: shards construct their detector in place.
   dm::util::EveryN classifier_failure_gate_{128};
-  /// One immutable BuilderOptions shared by every session's scoped builder
-  /// — at a million sessions the per-builder copy (it contains the whole
-  /// trusted-vendor whitelist) would dominate memory.
-  std::shared_ptr<const BuilderOptions> shared_builder_options_;
   std::map<std::string, Session> sessions_;  // key -> state
   OnlineStats stats_;
   std::vector<Alert> alerts_;

@@ -13,6 +13,9 @@ using dm::http::PayloadType;
 using dm::util::registrable_domain;
 using dm::util::top_level_domain;
 
+/// The facts one fold step reads, in sequence order.
+using FactsRef = std::vector<const TxnFacts*>;
+
 /// Host component of a (possibly absolute-URL) referrer value, lower-cased.
 std::string referrer_host(std::string_view referrer) {
   const std::string host = dm::http::host_of_url(referrer);
@@ -24,6 +27,29 @@ std::string referrer_host(std::string_view referrer) {
     return dm::util::to_lower(trimmed);
   }
   return {};
+}
+
+/// The scope rule: with no scope every fact is in; otherwise a fact is in
+/// when its server host or its absolute-URL referrer host is a scope host.
+bool in_scope(const TxnFacts& txn, const std::set<std::string>* scope) {
+  if (scope == nullptr || scope->contains(txn.server_host)) return true;
+  if (!txn.has_referrer) return false;
+  const std::string host = dm::http::host_of_url(txn.referrer);
+  return !host.empty() && scope->contains(host);
+}
+
+std::size_t size_of(const std::set<std::string>* scope) noexcept {
+  return scope != nullptr ? scope->size() : 0;
+}
+
+/// The facts of `facts` in scope, in order.
+FactsRef in_scope_facts(std::span<const TxnFacts> facts,
+                        const std::set<std::string>* scope) {
+  FactsRef kept;
+  for (const auto& txn : facts) {
+    if (in_scope(txn, scope)) kept.push_back(&txn);
+  }
+  return kept;
 }
 
 bool is_exploit_transaction(const TxnFacts& txn) {
@@ -134,28 +160,28 @@ void add_redirect_edge(WcgBuildState& s, const std::string& from_host,
 /// One-time setup for a (re-)fold: download timeline, conversation hosts,
 /// origin and victim nodes, entice edge.  Precondition: at least one
 /// transaction, `s` freshly default-constructed.
-void prologue(WcgBuildState& s, const std::vector<TxnFacts>& txns,
+void prologue(WcgBuildState& s, const FactsRef& txns,
               const std::string& victim) {
   auto& ann = s.wcg.annotations();
 
   // Download timeline (fixed for this fold; see stage_of).
-  for (const auto& txn : txns) {
-    if (!is_exploit_transaction(txn)) continue;
-    const std::uint64_t ts = txn.response_ts;
+  for (const TxnFacts* txn : txns) {
+    if (!is_exploit_transaction(*txn)) continue;
+    const std::uint64_t ts = txn->response_ts;
     if (s.first_exploit_ts == 0 || ts < s.first_exploit_ts) {
       s.first_exploit_ts = ts;
     }
     s.last_exploit_ts = std::max(s.last_exploit_ts, ts);
-    s.exploit_hosts.insert(txn.server_host);
+    s.exploit_hosts.insert(txn->server_host);
   }
 
   // ---- Origin node -------------------------------------------------------
   // The enticement source is the referrer of the earliest transaction whose
   // referrer host is outside the conversation (§III-B "origin node").
-  for (const auto& txn : txns) s.conversation_hosts.insert(txn.server_host);
-  for (const auto& txn : txns) {
-    if (txn.has_referrer) {
-      const std::string host = referrer_host(txn.referrer);
+  for (const TxnFacts* txn : txns) s.conversation_hosts.insert(txn->server_host);
+  for (const TxnFacts* txn : txns) {
+    if (txn->has_referrer) {
+      const std::string host = referrer_host(txn->referrer);
       if (!host.empty() &&
           s.conversation_hosts.find(host) == s.conversation_hosts.end()) {
         s.origin_name = host;
@@ -179,16 +205,16 @@ void prologue(WcgBuildState& s, const std::vector<TxnFacts>& txns,
     WcgEdge entice;
     entice.kind = EdgeKind::kRedirect;
     entice.stage = Stage::kPreDownload;
-    entice.ts_micros = txns.front().request_ts;
+    entice.ts_micros = txns.front()->request_ts;
     s.wcg.add_edge(s.origin_id, s.victim_id, entice);
   }
 
-  s.first_ts = txns.front().request_ts;
+  s.first_ts = txns.front()->request_ts;
   s.last_ts = s.first_ts;
 }
 
 /// Extends the state by one transaction.  The single per-transaction code
-/// path shared by build() and current() — equivalence by construction.
+/// path shared by build() and WcgFold — equivalence by construction.
 void fold(const BuilderOptions& options, WcgBuildState& s,
           const TxnFacts& txn) {
   Wcg& wcg = s.wcg;
@@ -258,7 +284,6 @@ void fold(const BuilderOptions& options, WcgBuildState& s,
       ++ann.payload_type_counts[resp.payload_type];
       ++wcg.node(server_id).payloads_served[resp.payload_type];
     }
-    s.last_response_ts[txn.server_host] = res_ts;
 
     // Explicit redirect evidence: Location header / meta / iframe / JS,
     // including the de-obfuscated layers, mined once by derive_facts.
@@ -268,31 +293,11 @@ void fold(const BuilderOptions& options, WcgBuildState& s,
     }
   }
 
-  // Referer-chain redirect: the referrer names another conversation host
-  // and this request followed that host's response almost immediately.
-  // Needs the *full* conversation-host set, so enabling it forces current()
-  // into refold-per-call mode (see BuilderOptions).
-  if (txn.has_referrer && options.referrer_timing_redirects) {
-    const std::string ref_host = referrer_host(txn.referrer);
-    if (!ref_host.empty() && ref_host != txn.server_host &&
-        s.conversation_hosts.find(ref_host) != s.conversation_hosts.end()) {
-      const auto it = s.last_response_ts.find(ref_host);
-      if (it != s.last_response_ts.end() && req_ts >= it->second) {
-        const double delay_s =
-            static_cast<double>(req_ts - it->second) / 1e6;
-        if (delay_s <= options.referrer_redirect_max_delay_s &&
-            !wcg.graph().has_edge(wcg.find_host(ref_host), server_id)) {
-          add_redirect_edge(s, ref_host, txn.server_host, req_ts);
-        }
-      }
-    }
-  }
-
   ++s.folded;
 }
 
 /// Derives every annotation that depends on the whole state.  Idempotent —
-/// current() re-runs it after each incremental fold.  Cost is O(nodes +
+/// WcgFold re-runs it after each incremental fold.  Cost is O(nodes +
 /// redirect subgraph), independent of the transaction count.
 void finalize(WcgBuildState& s) {
   Wcg& wcg = s.wcg;
@@ -353,6 +358,47 @@ void finalize(WcgBuildState& s) {
   ann.has_download_stage = s.first_exploit_ts != 0;
 }
 
+/// Folds `txns` into the freshly default-constructed `s`; leaves it empty
+/// when there are none.
+void fold_from_scratch(const BuilderOptions& options, WcgBuildState& s,
+                       const FactsRef& txns, const std::string& victim) {
+  if (txns.empty()) return;
+  prologue(s, txns, victim);
+  for (const TxnFacts* txn : txns) fold(options, s, *txn);
+}
+
+/// True when appending `pending` to what `s` has folded would change
+/// already-built structure, so the fold must start over.
+bool requires_refold(const WcgBuildState& s, const FactsRef& pending) {
+  for (const TxnFacts* txn : pending) {
+    // A new exploit download moves the timeline: stages (and node typing)
+    // of already-folded transactions may change.
+    if (is_exploit_transaction(*txn)) return true;
+    // The chosen origin's referrer host just joined the conversation, so
+    // the origin scan would now pick a different source (or "empty").
+    if (s.origin_name != "empty" && txn->server_host == s.origin_name) {
+      return true;
+    }
+  }
+
+  if (s.origin_name == "empty") {
+    // No enticement source so far: does any pending transaction carry a
+    // referrer that stays outside the *grown* conversation-host set?
+    std::set<std::string> pending_hosts;
+    for (const TxnFacts* txn : pending) pending_hosts.insert(txn->server_host);
+    for (const TxnFacts* txn : pending) {
+      if (txn->has_referrer) {
+        const std::string host = referrer_host(txn->referrer);
+        if (!host.empty() && !s.conversation_hosts.contains(host) &&
+            !pending_hosts.contains(host)) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 TxnFacts derive_facts(const HttpTransaction& txn,
@@ -411,92 +457,57 @@ WcgBuilder::WcgBuilder(std::shared_ptr<const BuilderOptions> options)
                                   : shared_default_options()) {}
 
 bool WcgBuilder::add(const HttpTransaction& transaction) {
-  if (!admits(transaction.server_host)) return false;
-  return add(derive_facts(transaction, options_->miner),
-             transaction.client_host);
-}
-
-bool WcgBuilder::add(TxnFacts facts, std::string_view client_host) {
-  if (!admits(facts.server_host)) return false;
-  if (facts_.empty()) victim_ = client_host;
-  facts_.push_back(std::move(facts));
+  if (transaction.server_host.empty() ||
+      options_->trusted.is_trusted(transaction.server_host)) {
+    return false;
+  }
+  if (facts_.empty()) victim_ = transaction.client_host;
+  facts_.push_back(derive_facts(transaction, options_->miner));
   return true;
-}
-
-bool WcgBuilder::admits(const std::string& server_host) const {
-  return !server_host.empty() && !options_->trusted.is_trusted(server_host);
 }
 
 Wcg WcgBuilder::build() const {
   detail::WcgBuildState state;
-  if (facts_.empty()) return std::move(state.wcg);
-  prologue(state, facts_, victim_);
-  for (const auto& txn : facts_) fold(*options_, state, txn);
+  fold_from_scratch(*options_, state, in_scope_facts(facts_, nullptr), victim_);
   finalize(state);
   return std::move(state.wcg);
 }
 
-bool WcgBuilder::requires_refold() const {
-  // The referrer-timing rule lets a late transaction create an edge whose
-  // existence depends on hosts seen even later; incremental folding cannot
-  // honor that, so the option pins current() to refold-per-call.
-  if (options_->referrer_timing_redirects) return true;
-
-  for (std::size_t i = state_.folded; i < facts_.size(); ++i) {
-    const auto& txn = facts_[i];
-    // A new exploit download moves the timeline: stages (and node typing)
-    // of already-folded transactions may change.
-    if (is_exploit_transaction(txn)) return true;
-    // The chosen origin's referrer host just joined the conversation, so
-    // the origin scan would now pick a different source (or "empty").
-    if (state_.origin_name != "empty" &&
-        txn.server_host == state_.origin_name) {
-      return true;
-    }
+bool WcgFold::needs_update(std::span<const TxnFacts> facts,
+                           const std::set<std::string>* scope) {
+  if (size_of(scope) != scope_size_) return true;
+  while (consumed_ < facts.size() && !in_scope(facts[consumed_], scope)) {
+    ++consumed_;
   }
-
-  if (state_.origin_name == "empty") {
-    // No enticement source so far: does any pending transaction carry a
-    // referrer that stays outside the *grown* conversation-host set?
-    std::set<std::string> pending_hosts;
-    for (std::size_t i = state_.folded; i < facts_.size(); ++i) {
-      pending_hosts.insert(facts_[i].server_host);
-    }
-    for (std::size_t i = state_.folded; i < facts_.size(); ++i) {
-      if (facts_[i].has_referrer) {
-        const std::string host = referrer_host(facts_[i].referrer);
-        if (!host.empty() &&
-            state_.conversation_hosts.find(host) ==
-                state_.conversation_hosts.end() &&
-            pending_hosts.find(host) == pending_hosts.end()) {
-          return true;
-        }
-      }
-    }
-  }
-  return false;
+  return consumed_ < facts.size();
 }
 
-const Wcg& WcgBuilder::current() {
-  const std::size_t n = facts_.size();
-  if (state_.folded == n) return state_.wcg;  // finalized by the last call
+const Wcg& WcgFold::update(const BuilderOptions& options,
+                           std::span<const TxnFacts> facts,
+                           const std::string& victim,
+                           const std::set<std::string>* scope) {
+  FactsRef pending;
+  for (; consumed_ < facts.size(); ++consumed_) {
+    if (in_scope(facts[consumed_], scope)) pending.push_back(&facts[consumed_]);
+  }
+  const bool scope_grew = size_of(scope) != scope_size_;
+  scope_size_ = size_of(scope);
+  if (!scope_grew && pending.empty()) return state_.wcg;  // finalized already
 
-  if (state_.folded == 0 || requires_refold()) {
+  if (scope_grew || state_.folded == 0 || requires_refold(state_, pending)) {
+    if (scope_grew) ++scope_refolds_;
     if (state_.folded > 0) ++full_refolds_;
     const std::uint64_t prev_version = state_.wcg.topology_version();
     state_ = detail::WcgBuildState{};
-    prologue(state_, facts_, victim_);
-    for (const auto& txn : facts_) fold(*options_, state_, txn);
+    fold_from_scratch(options, state_, in_scope_facts(facts, scope), victim);
     // The graph object kept its address but was rebuilt; keep the version
     // strictly increasing so (pointer, version) cache keys stay sound.
     state_.wcg.ensure_topology_version_above(prev_version);
   } else {
-    for (std::size_t i = state_.folded; i < n; ++i) {
-      state_.conversation_hosts.insert(facts_[i].server_host);
+    for (const TxnFacts* txn : pending) {
+      state_.conversation_hosts.insert(txn->server_host);
     }
-    for (std::size_t i = state_.folded; i < n; ++i) {
-      fold(*options_, state_, facts_[i]);
-    }
+    for (const TxnFacts* txn : pending) fold(options, state_, *txn);
   }
   finalize(state_);
   return state_.wcg;

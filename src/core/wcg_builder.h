@@ -7,32 +7,37 @@
 //  * adds the synthetic origin node from the first transaction's referrer
 //    ("empty" when the referrer was stripped),
 //  * creates request/response edges between the victim and each host,
-//  * infers redirect edges from Location headers, Referer chaining under a
-//    short-delay rule (automatic redirects are fast; human clicks are slow),
+//  * infers redirect edges from explicit evidence only: Location headers
 //    and the obfuscated-JS/meta/iframe miner (§III-D) — the mined target
 //    hosts are part of the facts, so a body is mined once, not per fold,
 //  * assigns each edge a conversation stage — pre-download / download /
 //    post-download — using the paper's §III-C heuristics, and
 //  * fills the graph-level annotations that the 37 features consume.
 //
-// Two evaluation modes share one fold engine (see wcg_builder.cpp):
+// One fold engine (see wcg_builder.cpp), run two ways:
 //
-//  * build() — the from-scratch reference: materializes a fresh WCG from
-//    every transaction added so far.  Pure, repeatable, O(n) per call.
-//  * current() — the incremental hot path: maintains a persistent WCG and
-//    folds only the transactions added since the previous call.  A small
-//    set of retroactive events (a new exploit download re-staging earlier
-//    edges, the origin node being invalidated by a new conversation host)
-//    trigger a transparent full re-fold, so current() is always
-//    bit-identical to build() — the property the on-the-wire engine's
-//    incremental-vs-rebuild determinism guarantee rests on.
+//  * WcgBuilder::build() — the from-scratch reference: materializes a fresh
+//    WCG from every transaction added so far.  Pure, repeatable, O(n) per
+//    call.
+//  * WcgFold — the incremental hot path: a persistent WCG over a facts
+//    sequence its caller owns, optionally seen through a set of scope
+//    hosts, that folds only the facts appended since the previous call.
+//    WcgBuilder::current() runs one over the builder's own facts; the
+//    on-the-wire engine runs one over a session log, scoped to the hosts
+//    its infection clue implicates.  A small set of retroactive events (a
+//    new exploit download re-staging earlier edges, the origin node being
+//    invalidated by a new conversation host, the scope growing) trigger a
+//    transparent full re-fold in place, so the fold is always
+//    bit-identical to build() over the facts in scope — the property the
+//    on-the-wire engine's incremental-vs-rebuild determinism guarantee
+//    rests on.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/wcg.h"
@@ -46,25 +51,14 @@ namespace dm::core {
 struct BuilderOptions {
   /// Trusted-vendor weed-out list; use TrustedVendors::none() to disable.
   TrustedVendors trusted = TrustedVendors::default_list();
-  /// Optional heuristic: treat a Referer-chain transition faster than the
-  /// delay below as an automatic redirect even without explicit evidence.
-  /// Off by default — sub-resource fetches (page -> CDN) also follow their
-  /// referrer within milliseconds, so the bare timing rule manufactures
-  /// redirect structure in benign graphs; explicit evidence (Location,
-  /// meta-refresh, iframe, mined JavaScript) is the reliable signal.
-  /// Enabling it also disables incremental folding (the rule makes early
-  /// edges depend on hosts seen later), so current() degrades to a full
-  /// re-fold per call.
-  bool referrer_timing_redirects = false;
-  double referrer_redirect_max_delay_s = 2.0;
   dm::http::RedirectMinerOptions miner;
 };
 
-/// What the fold, clue inference and the online engine's scope filter read
-/// of one transaction — and all the engine keeps of it.  Headers and bodies
-/// are not kept: the payload type, body length and mined redirect targets
-/// stand in for them.  Nor is the client host: a builder (and an online
-/// session) holds its victim once.
+/// What the fold and clue inference read of one transaction — and all the
+/// online engine keeps of it.  Headers and bodies are not kept: the payload
+/// type, body length and mined redirect targets stand in for them.  Nor is
+/// the client host: a builder (and an online session) holds its victim
+/// once.
 struct TxnFacts {
   // Request side.
   std::string server_host;
@@ -100,7 +94,7 @@ namespace detail {
 
 /// Everything the per-transaction fold engine needs, beyond the Wcg itself,
 /// to extend a WCG by one transaction and keep every annotation consistent.
-/// Internal to WcgBuilder; a plain value type so builders stay copyable.
+/// Internal to WcgFold; a plain value type so folds stay copyable.
 struct WcgBuildState {
   Wcg wcg;
   std::size_t folded = 0;  // transactions folded into `wcg` so far
@@ -135,28 +129,66 @@ struct WcgBuildState {
   std::vector<std::uint64_t> txn_times;  // request timestamps, see above
   double inter_txn_total_s = 0.0;
   bool txn_times_unsorted = false;
-
-  /// Most recent response per host, for the referrer-delay redirect rule.
-  std::map<std::string, std::uint64_t> last_response_ts;
 };
 
 }  // namespace detail
 
+/// The incremental WCG over a facts sequence its caller owns and only
+/// appends to, seen through an optional set of scope hosts: a fact is in
+/// scope when its server host or its absolute-URL referrer host is a scope
+/// host (with no set, every fact is).  update() folds the in-scope facts
+/// appended since the previous call into a persistent WCG.  It re-folds from
+/// the first fact, in place, when a new fact changes already-built
+/// structure (a new exploit download, origin invalidation) or the scope has
+/// grown (facts passed over before may be in scope now).  Callers never
+/// observe the difference, only the amortized O(delta) cost: the WCG is
+/// always bit-identical to WcgBuilder::build() over the facts in scope.  It
+/// keeps one address for the fold's lifetime and its topology_version only
+/// rises, so a FeatureCache keyed on (address, version) stays sound across
+/// re-folds.
+class WcgFold {
+ public:
+  /// Folds what is new and returns the WCG.  Every call passes the same
+  /// options and victim, the same facts sequence (appended to only) and the
+  /// same scope set (grown only).  The reference lives until the next call.
+  const Wcg& update(const BuilderOptions& options,
+                    std::span<const TxnFacts> facts, const std::string& victim,
+                    const std::set<std::string>* scope = nullptr);
+
+  /// Whether update() would change the WCG: the scope has grown, or a fact
+  /// appended since the last update is in scope.  Steps past appended facts
+  /// that are out of scope, so each is tested once.
+  bool needs_update(std::span<const TxnFacts> facts,
+                    const std::set<std::string>* scope);
+
+  /// Re-folds of an already-built WCG, any cause (diagnostics/tests).
+  std::uint64_t full_refolds() const noexcept { return full_refolds_; }
+  /// Folds from the first fact that a grown scope forced, the first fold
+  /// through a non-empty scope included.
+  std::uint64_t scope_refolds() const noexcept { return scope_refolds_; }
+
+ private:
+  detail::WcgBuildState state_;
+  std::size_t consumed_ = 0;    // facts [0, consumed_) have been filtered
+  std::size_t scope_size_ = 0;  // the scope's size at the last update
+  std::uint64_t full_refolds_ = 0;
+  std::uint64_t scope_refolds_ = 0;
+};
+
 /// Accumulates transaction facts (time order expected) and materializes the
 /// annotated WCG.  `build()`/`current()` may be called repeatedly as the
-/// conversation grows — the on-the-wire detector does exactly that (§V-B
-/// "each update of a WCG then triggers feature extraction").
+/// conversation grows (§V-B "each update of a WCG then triggers feature
+/// extraction").
 class WcgBuilder {
  public:
   /// Default: shares one immutable process-wide BuilderOptions (cheap —
   /// no per-builder copy of the trusted-vendor set).
   WcgBuilder();
   explicit WcgBuilder(BuilderOptions options);
-  /// Shares immutable options across builders.  At a million live sessions
-  /// (each holding a builder) a per-builder BuilderOptions copy — which
-  /// contains the whole TrustedVendors whitelist — dominates session
-  /// memory; the online detector builds the options once and hands every
-  /// session this shared handle instead.  Null falls back to the default.
+  /// Shares immutable options across builders: a BuilderOptions copy holds
+  /// the whole TrustedVendors whitelist, so a caller building many WCGs
+  /// (the test oracle builds one per verdict) hands every builder one
+  /// shared handle instead.  Null falls back to the default.
   explicit WcgBuilder(std::shared_ptr<const BuilderOptions> options);
 
   /// Derives the transaction's facts and appends them; returns false if it
@@ -165,41 +197,25 @@ class WcgBuilder {
   /// derivation: folding into the incremental graph is deferred to the next
   /// current() call.
   bool add(const dm::http::HttpTransaction& transaction);
-  /// Appends facts derived elsewhere (the online engine's session log), of
-  /// a transaction from `client_host`; same weeding and victim rule.
-  bool add(TxnFacts facts, std::string_view client_host);
 
   std::size_t transaction_count() const noexcept { return facts_.size(); }
-  /// Slots reserved in the facts store (byte accounting).
-  std::size_t facts_capacity() const noexcept { return facts_.capacity(); }
 
   /// Builds the full annotated WCG from scratch from everything added so
   /// far.  The reference implementation; current() must match it bitwise.
   Wcg build() const;
 
-  /// Incremental view: folds transactions added since the last call into a
-  /// persistent WCG and returns it.  Falls back to a full re-fold when a
-  /// new transaction retroactively changes earlier structure (new exploit
-  /// download, origin invalidation) — callers never observe the difference,
-  /// only the amortized O(delta) cost.  The reference lives until the next
-  /// add()/current() call.
-  const Wcg& current();
+  /// Incremental view: a WcgFold over everything added so far.  The
+  /// reference lives until the next add()/current() call.
+  const Wcg& current() { return fold_.update(*options_, facts_, victim_); }
 
   /// Number of full re-folds current() has performed (diagnostics/tests).
-  std::uint64_t full_refolds() const noexcept { return full_refolds_; }
+  std::uint64_t full_refolds() const noexcept { return fold_.full_refolds(); }
 
  private:
-  /// True when the pending suffix [state_.folded, n) cannot be folded
-  /// incrementally onto state_ without changing already-built structure.
-  bool requires_refold() const;
-  /// The weeding rule: a server host that is present and not trusted.
-  bool admits(const std::string& server_host) const;
-
   std::shared_ptr<const BuilderOptions> options_;  // immutable, never null
   std::vector<TxnFacts> facts_;
   std::string victim_;  // client host of the first facts kept
-  detail::WcgBuildState state_;  // incremental graph for current()
-  std::uint64_t full_refolds_ = 0;
+  WcgFold fold_;        // incremental graph for current()
 };
 
 /// One-shot convenience.

@@ -134,28 +134,8 @@ TEST(WcgBuilderTest, RedirectChainLengthCounted) {
   EXPECT_EQ(wcg.annotations().cross_domain_redirects, 2u);
 }
 
-TEST(WcgBuilderTest, FastReferrerTransitionIsRedirect) {
-  BuilderOptions options = no_weed_out();
-  options.referrer_timing_redirects = true;
-  options.referrer_redirect_max_delay_s = 2.0;
-  WcgBuilder builder(options);
-  auto first = Txn{.host = "a.example", .ts = 10}.build();
-  // Next request 0.2s after a.example's response (10s + 100ms + 100ms).
-  auto second = Txn{.host = "b.example", .referrer = "http://a.example/"}.build();
-  second.request.ts_micros = 10 * 1000000 + 200000;
-  second.response->ts_micros = second.request.ts_micros + 50000;
-  WcgBuilder b2(options);
-  b2.add(std::move(first));
-  b2.add(std::move(second));
-  const auto wcg = b2.build();
-  EXPECT_EQ(wcg.annotations().total_redirects, 1u);
-}
-
 TEST(WcgBuilderTest, SlowReferrerTransitionIsNavigation) {
-  BuilderOptions options = no_weed_out();
-  options.referrer_timing_redirects = true;
-  options.referrer_redirect_max_delay_s = 2.0;
-  WcgBuilder builder(options);
+  WcgBuilder builder(no_weed_out());
   builder.add(Txn{.host = "a.example", .ts = 10}.build());
   builder.add(Txn{.host = "b.example", .referrer = "http://a.example/", .ts = 60}
                   .build());

@@ -2,12 +2,16 @@
 //   * WcgBuilder::current() must equal WcgBuilder::build() bitwise after
 //     every single append — including the retroactive events (new exploit
 //     download, origin invalidation) that force a transparent re-fold;
+//   * a WcgFold through a growing scope must equal build() over the facts
+//     in scope after every update, in place: one WCG address, a topology
+//     version that only rises;
 //   * OnlineDetector — sequential and sharded at 1/2/8 shards — must
 //     produce the alert set of the naive reference engine
 //     (reference_online.h), score bit for score bit, on mixed traces and
-//     the 18-family catalog, including when a host is implicated
-//     retroactively (scope rescan); the shard aggregate must match the
-//     sequential engine's counters;
+//     the 18-family catalog; with no alert to end a session, every oracle
+//     verdict must carry the engine's score bits, including after a host is
+//     implicated retroactively (a scope refold); the shard aggregate must
+//     match the sequential engine's counters;
 //   * the fence itself must fail on an injected divergence;
 //   * observe() keeps only a transaction's facts: passing by copy or by
 //     std::move must be indistinguishable, and so must padding the header
@@ -17,7 +21,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <map>
+#include <optional>
+#include <random>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -26,6 +34,7 @@
 #include "core/trainer.h"
 #include "core/wcg_builder.h"
 #include "http/classify.h"
+#include "http/redirect_miner.h"
 #include "reference_online.h"
 #include "runtime/sharded_online.h"
 #include "synth/dataset.h"
@@ -196,6 +205,173 @@ TEST(HotpathBuilderTest, OutOfOrderTimestampsResortExactly) {
 }
 
 // ---------------------------------------------------------------------------
+// The scoped fold against build() over the facts in scope.
+// ---------------------------------------------------------------------------
+
+/// What a fold update did, tallied across a corpus so the fence can show it
+/// reached every re-fold path.
+struct ScopeEvents {
+  std::size_t earlier_hosts = 0;    // growth admitting facts already passed
+  std::size_t unseen_hosts = 0;     // growth by a host no fact has named yet
+  std::size_t exploit_refolds = 0;  // an exploit download joining a built scope
+  std::size_t origin_refolds = 0;   // a new fact served by the built origin
+};
+
+/// The scope rule, read off the transaction: its server host or its
+/// absolute-URL referrer host is a scope host.
+bool touches(const HttpTransaction& txn, const std::set<std::string>& scope) {
+  if (scope.contains(txn.server_host)) return true;
+  const auto ref = txn.request.referrer();
+  return ref && scope.contains(dm::http::host_of_url(*ref));
+}
+
+/// Folds `txns` through a WcgFold whose scope grows at points drawn from
+/// `seed`: first by the first transaction's server host, then by hosts
+/// named by earlier or later transactions.  After every update the fold
+/// must equal WcgBuilder::build() over the transactions in scope, WCG and
+/// features both (the fold's extracted through one FeatureCache kept for
+/// its whole life, as a session keeps it).  Its WCG keeps one address, and
+/// its topology version rises exactly when needs_update() said it would.
+void check_scoped_episode(const std::vector<HttpTransaction>& txns,
+                          std::uint64_t seed, ScopeEvents& seen) {
+  const BuilderOptions options;
+  const FeatureExtractorOptions features;
+  // What an online session logs: the transactions a builder would keep.
+  std::vector<const HttpTransaction*> kept;
+  for (const auto& txn : txns) {
+    if (!txn.server_host.empty() && !options.trusted.is_trusted(txn.server_host)) {
+      kept.push_back(&txn);
+    }
+  }
+  if (kept.empty()) return;
+  const std::string victim = kept.front()->client_host;
+  const auto hosts_of = [](const HttpTransaction& txn) {
+    std::vector<std::string> hosts{txn.server_host};
+    if (const auto ref = txn.request.referrer()) {
+      const std::string host = dm::http::host_of_url(*ref);
+      if (!host.empty()) hosts.push_back(host);
+    }
+    return hosts;
+  };
+
+  std::mt19937_64 rng(seed);
+  std::vector<TxnFacts> log;
+  std::set<std::string> scope;
+  WcgFold fold;
+  FeatureCache cache;
+  const Wcg* address = nullptr;
+  std::uint64_t version = 0;
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    SCOPED_TRACE("fact " + std::to_string(i) + " of " + kept[i]->server_host);
+    log.push_back(derive_facts(*kept[i], options.miner));
+    bool grew = false;
+    if (i == 0 || rng() % 3 == 0) {
+      const std::size_t from = i == 0 ? 0 : rng() % kept.size();
+      const auto hosts = hosts_of(*kept[from]);
+      const std::string host = hosts[rng() % hosts.size()];
+      bool admits_earlier = false;
+      bool named = false;
+      for (std::size_t j = 0; j <= i; ++j) {
+        const auto named_by = hosts_of(*kept[j]);
+        named |= std::find(named_by.begin(), named_by.end(), host) !=
+                 named_by.end();
+        admits_earlier |= j < i && !touches(*kept[j], scope) &&
+                          touches(*kept[j], {host});
+      }
+      grew = scope.insert(host).second;
+      if (grew && admits_earlier) ++seen.earlier_hosts;
+      if (grew && !named) ++seen.unseen_hosts;
+    }
+
+    const bool joins = touches(*kept[i], scope);
+    const bool built = address != nullptr && address->edge_count() > 0;
+    const std::string origin =
+        built && address->annotations().origin_known
+            ? address->node(address->origin()).host
+            : std::string();
+    const std::uint64_t refolds = fold.full_refolds();
+    const bool needs = fold.needs_update(log, &scope);
+    const Wcg& folded = fold.update(options, log, victim, &scope);
+    if (!grew && joins && fold.full_refolds() > refolds) {
+      if (log.back().has_response && dm::http::is_exploit_type(log.back().payload)) {
+        ++seen.exploit_refolds;
+      } else if (log.back().server_host == origin) {
+        ++seen.origin_refolds;
+      }
+    }
+
+    if (address == nullptr) address = &folded;
+    EXPECT_EQ(&folded, address) << "the fold's WCG moved";
+    EXPECT_GE(folded.topology_version(), version);
+    EXPECT_EQ(folded.topology_version() > version, needs);
+    version = folded.topology_version();
+
+    WcgBuilder reference;
+    for (std::size_t j = 0; j <= i; ++j) {
+      if (touches(*kept[j], scope)) reference.add(*kept[j]);
+    }
+    const Wcg rebuilt = reference.build();
+    expect_wcgs_identical(folded, rebuilt);
+    expect_features_identical(extract_features(folded, features, &cache),
+                              extract_features(rebuilt, features));
+  }
+}
+
+TEST(HotpathBuilderTest, ScopedFoldMatchesBuildOverTheFactsInScope) {
+  ScopeEvents seen;
+  dm::synth::TraceGenerator gen(7003);
+  for (const auto& family : dm::synth::exploit_kit_families()) {
+    const auto episode = gen.infection(family);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(family.name + " seed " + std::to_string(seed));
+      check_scoped_episode(episode.transactions, seed, seen);
+    }
+  }
+  for (int i = 0; i < 4; ++i) {
+    const auto episode = gen.benign();
+    SCOPED_TRACE("benign " + std::to_string(i));
+    check_scoped_episode(episode.transactions, 11 + static_cast<std::uint64_t>(i),
+                         seen);
+  }
+
+  // A hand-built conversation that reaches the origin and exploit paths:
+  // portal.example entices the victim, later serves it (origin
+  // invalidation), and an exploit download follows; every request is
+  // referred from a.example, the first scope host.
+  std::vector<HttpTransaction> crafted;
+  const auto referred = [](HttpTransaction txn, const std::string& ref) {
+    txn.request.headers.add("Referer", ref);
+    return txn;
+  };
+  crafted.push_back(referred(make_txn("a.example", "/", 1'000'000),
+                             "http://portal.example/"));
+  crafted.push_back(referred(make_txn("b.example", "/page", 2'000'000),
+                             "http://a.example/"));
+  crafted.push_back(referred(make_txn("portal.example", "/self", 3'000'000),
+                             "http://a.example/"));
+  auto exploit = referred(make_txn("evil.example", "/payload.exe", 4'000'000),
+                          "http://a.example/");
+  exploit.response->headers = {};
+  exploit.response->headers.add("Content-Type", "application/octet-stream");
+  crafted.push_back(exploit);
+  crafted.push_back(referred(make_txn("c.example", "/after", 5'000'000),
+                             "http://a.example/"));
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("crafted seed " + std::to_string(seed));
+    check_scoped_episode(crafted, seed, seen);
+  }
+
+  EXPECT_GT(seen.earlier_hosts, 0u);
+  EXPECT_GT(seen.unseen_hosts, 0u);
+  EXPECT_GT(seen.exploit_refolds, 0u);
+  EXPECT_GT(seen.origin_refolds, 0u);
+  std::printf("[ scoped fold ] %zu earlier-host and %zu unseen-host growths, "
+              "%zu exploit and %zu origin refolds\n",
+              seen.earlier_hosts, seen.unseen_hosts, seen.exploit_refolds,
+              seen.origin_refolds);
+}
+
+// ---------------------------------------------------------------------------
 // Online-engine fences against the naive reference engine
 // (tests/reference_online.h).
 // ---------------------------------------------------------------------------
@@ -343,9 +519,10 @@ OnlineStats expect_engines_match_reference(
 TEST(HotpathOnlineTest, EnginesMatchReferenceOnMixedTrace7100) {
   const auto stats = expect_engines_match_reference(mixed_trace(7100),
                                                     online_options());
-  // Post-clue scope expansion implicates hosts retroactively in this corpus,
-  // so the score-bit equality covers the rescan path too, and the shard
-  // aggregate is checked on a nonzero scope_rescans.
+  // Every clue folds its scope from the start of the log once, so the shard
+  // aggregate is checked on a nonzero scope_rescans.  This trace alerts on
+  // first verdicts and never refolds a grown scope: the post-clue refold
+  // path is fenced by the lockstep verdict tests below.
   EXPECT_GE(stats.scope_rescans, 1u);
 }
 
@@ -361,10 +538,70 @@ TEST(HotpathOnlineTest, EnginesMatchReferenceOnFamilyCatalogAtL2AndL3) {
   }
 }
 
+/// What a lockstep run of the engine against the oracle shows.
+struct VerdictRun {
+  OnlineStats stats;  // the engine's
+  std::size_t engine_verdicts = 0;
+  std::size_t oracle_verdicts = 0;
+};
+
+/// Feeds `stream` to the engine and the oracle in lockstep and checks every
+/// oracle verdict against the engine's.  The oracle scores every post-clue
+/// update; the engine skips updates that leave the scope unchanged.  So each
+/// oracle verdict must carry the score bits and WCG size of the engine's
+/// verdict at the same update or, where the engine skipped, of the engine's
+/// latest earlier verdict in that session (engine and oracle group
+/// transactions into the same session keys); and the engine must make no
+/// verdict the oracle did not.
+VerdictRun expect_verdicts_match_reference(
+    const std::vector<HttpTransaction>& stream, OnlineOptions options) {
+  struct Scored {
+    std::uint64_t score_bits;
+    std::size_t wcg_size;
+  };
+  std::optional<Scored> tapped;
+  options.verdict_tap = [&tapped](const Wcg& wcg, double score, bool,
+                                  std::uint64_t) {
+    tapped = Scored{std::bit_cast<std::uint64_t>(score), wcg.edge_count()};
+  };
+  OnlineDetector engine(shared_detector(), options);
+  reference::ReferenceOnline oracle(shared_detector(), options);
+  std::map<std::string, Scored> latest;  // session key -> engine verdict
+  VerdictRun run;
+  for (const auto& txn : stream) {
+    tapped.reset();
+    const std::size_t oracle_before = oracle.verdicts().size();
+    engine.observe(txn);
+    oracle.observe(txn);
+    run.engine_verdicts += tapped.has_value();
+    if (oracle.verdicts().size() == oracle_before) {
+      EXPECT_FALSE(tapped.has_value())
+          << "engine verdict the oracle never made at " << txn.request.ts_micros;
+      continue;
+    }
+    const reference::Verdict& verdict = oracle.verdicts().back();
+    if (tapped) latest[verdict.session_key] = *tapped;
+    const auto it = latest.find(verdict.session_key);
+    if (it == latest.end()) {
+      ADD_FAILURE() << "oracle scored " << verdict.session_key
+                    << " before the engine did";
+      continue;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(verdict.score), it->second.score_bits)
+        << verdict.session_key << " update at " << verdict.ts_micros;
+    EXPECT_EQ(verdict.wcg_size, it->second.wcg_size)
+        << verdict.session_key << " update at " << verdict.ts_micros;
+  }
+  EXPECT_EQ(engine.stats().clues_fired, oracle.clues_fired());
+  run.stats = engine.stats();
+  run.oracle_verdicts = oracle.verdicts().size();
+  return run;
+}
+
 TEST(HotpathOnlineTest, RetroactiveSuspiciousHostRescansAndStaysIdentical) {
   // cnc.example is contacted *before* the clue; only a post-clue request
-  // referred from the clue host implicates it, forcing the scoped builder
-  // to rescan history and re-admit the earlier transaction.
+  // referred from the clue host implicates it, forcing the scoped fold to
+  // refold from the start of the log and admit the earlier transaction.
   std::vector<HttpTransaction> stream;
   auto at = [](std::uint64_t s) { return s * 1'000'000; };
 
@@ -403,58 +640,47 @@ TEST(HotpathOnlineTest, RetroactiveSuspiciousHostRescansAndStaysIdentical) {
   }
 
   // Keep the session alive past the clue (an alert would terminate it
-  // before the retroactive implication happens) so the rescan and the
+  // before the retroactive implication happens) so the refold and the
   // unchanged-scope skip are both reached deterministically.  With no
   // alert to compare, the fence compares every verdict's score bits.
   auto options = online_options();
   options.decision_threshold = 2.0;
-  struct Scored {
-    std::uint64_t ts_micros;
-    std::uint64_t score_bits;
-    std::size_t wcg_size;
-  };
-  std::vector<Scored> scored;
-  options.verdict_tap = [&](const Wcg& wcg, double score, bool,
-                            std::uint64_t ts) {
-    scored.push_back({ts, std::bit_cast<std::uint64_t>(score), wcg.edge_count()});
-  };
-  OnlineDetector engine(shared_detector(), options);
-  for (const auto& txn : stream) engine.observe(txn);
-  const auto reference =
-      reference::run_reference(shared_detector(), options, stream);
+  const VerdictRun run = expect_verdicts_match_reference(stream, options);
+  EXPECT_EQ(run.stats.clues_fired, 1u);
+  // The first fold at the clue, then a refold when cnc.example is implicated.
+  EXPECT_GT(run.stats.scope_rescans, run.stats.clues_fired);
+  EXPECT_GE(run.stats.queries_skipped_unchanged, 1u);
+  EXPECT_GT(run.engine_verdicts, 0u);
+  EXPECT_LT(run.engine_verdicts, run.oracle_verdicts);
 
-  EXPECT_GE(engine.stats().scope_rescans, 1u);
-  EXPECT_GE(engine.stats().queries_skipped_unchanged, 1u);
-  EXPECT_EQ(engine.stats().clues_fired, 1u);
-  EXPECT_EQ(reference.clues_fired(), 1u);
-  // The oracle scores every post-clue update; the engine skips updates
-  // that leave the scope unchanged.  So each oracle verdict must carry the
-  // score bits and WCG size of the engine's verdict at the same update, or
-  // of the engine's latest earlier one where it skipped.
-  ASSERT_FALSE(scored.empty());
-  std::size_t matched = 0;
-  for (const auto& verdict : reference.verdicts()) {
-    if (matched < scored.size() &&
-        scored[matched].ts_micros == verdict.ts_micros) {
-      ++matched;
-    }
-    ASSERT_GT(matched, 0u) << "reference scored before the engine did";
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(verdict.score),
-              scored[matched - 1].score_bits)
-        << "update at " << verdict.ts_micros;
-    EXPECT_EQ(verdict.wcg_size, scored[matched - 1].wcg_size)
-        << "update at " << verdict.ts_micros;
-  }
-  EXPECT_EQ(matched, scored.size()) << "engine verdicts the oracle never made";
-  EXPECT_LT(scored.size(), reference.verdicts().size());
-
-  // The only stream here that skips queries: the shard aggregate must sum
+  // A stream that skips queries: the shard aggregate must sum
   // queries_skipped_unchanged too.
-  options.verdict_tap = nullptr;
   for (const std::size_t shards : {1u, 2u, 8u}) {
     EXPECT_EQ(per_client(run_sharded(stream, options, shards).stats),
-              per_client(engine.stats()))
+              per_client(run.stats))
         << shards << " shards";
+  }
+}
+
+TEST(HotpathOnlineTest, PostClueRefoldsMatchReferenceOnFamilyCatalogAtL2AndL3) {
+  // With a threshold no score reaches, no alert ends a session: every
+  // clue-bearing session is scored through the rest of its episode, its
+  // suspicious hosts keep growing after the first fold, and each growth
+  // refolds the scoped WCG in place.  Every oracle verdict must carry the
+  // engine's score bits across those refolds.
+  const auto stream = catalog_trace();
+  for (const std::uint32_t l : {2u, 3u}) {
+    SCOPED_TRACE("redirect_chain_threshold " + std::to_string(l));
+    auto options = online_options(l);
+    options.decision_threshold = 2.0;
+    const VerdictRun run = expect_verdicts_match_reference(stream, options);
+    EXPECT_GT(run.engine_verdicts, 0u);
+    EXPECT_GT(run.stats.scope_rescans, run.stats.clues_fired)
+        << "no scope grew after its first fold";
+    std::printf("[ catalog l=%u ] %zu clues, %zu scope folds, %zu engine / "
+                "%zu oracle verdicts\n",
+                l, run.stats.clues_fired, run.stats.scope_rescans,
+                run.engine_verdicts, run.oracle_verdicts);
   }
 }
 

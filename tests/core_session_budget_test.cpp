@@ -397,11 +397,11 @@ TEST(SessionBudgetTest, BytesPinnedTracksAllocatorGrowth) {
                                    ts, 200, body_bytes)};
     };
   };
-  // Two redirect hops under one long session id: the first implicates its
-  // server and target, so the session allocates its scoped builder; the
-  // second implicates a third host, so the builder is released and
-  // refilled.  Hosts, the client and the id outgrow the small-string
-  // buffer, so every string the session keeps is a heap string.
+  // Two redirect hops under one long session id: each implicates hosts, so
+  // the session grows its suspicious-host set, but no clue fires and no
+  // scoped WCG is allocated or folded.  Hosts, the client and the id
+  // outgrow the small-string buffer, so every string the session keeps is
+  // a heap string.
   const SessionShape redirect_chain = [](std::size_t i, std::uint64_t ts) {
     const std::string n = std::to_string(i);
     const std::string client = "2001:db8:ffff:3::";
@@ -433,7 +433,7 @@ TEST(SessionBudgetTest, BytesPinnedTracksAllocatorGrowth) {
   const std::vector<Case> cases = {
       {"bodiless page", page(0), 0},
       {"2 KiB page", page(2048), 0},
-      {"redirect chain", redirect_chain, 2},
+      {"redirect chain", redirect_chain, 0},
   };
   for (const auto& [name, shape, rescans_per_session] : cases) {
     SCOPED_TRACE(name);

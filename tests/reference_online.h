@@ -36,6 +36,7 @@ namespace dm::core::reference {
 /// One completed classifier query.
 struct Verdict {
   std::uint64_t ts_micros = 0;
+  std::string session_key;
   double score = 0.0;
   std::size_t wcg_size = 0;  // edges of the scored WCG
 };
@@ -196,7 +197,7 @@ class ReferenceOnline {
     const Wcg wcg = scoped.build();
     if (wcg.node_count() < 2) return false;
     const double score = forest_.predict_proba(extract_features(wcg));
-    verdicts_.push_back({txn.request.ts_micros, score, wcg.edge_count()});
+    verdicts_.push_back({txn.request.ts_micros, s.key, score, wcg.edge_count()});
     if (score < options_.decision_threshold) return false;
     Alert alert;
     alert.ts_micros = txn.request.ts_micros;

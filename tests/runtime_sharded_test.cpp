@@ -16,9 +16,12 @@
 
 #include "core/trainer.h"
 #include "http/transaction_stream.h"
+#include "net/packet.h"
 #include "runtime/parallel_ingest.h"
 #include "synth/dataset.h"
+#include "synth/families.h"
 #include "synth/pcap_export.h"
+#include "util/fault_stats.h"
 
 namespace dm::runtime {
 namespace {
@@ -337,6 +340,70 @@ TEST(ParallelIngestTest, PcapFilesRoundTripThroughShardedDetection) {
   EXPECT_EQ(sorted_keys(result.alerts), expected);
 
   std::filesystem::remove_all(dir);
+}
+
+TEST(ParallelIngestTest, DetectPcapMatchesSequentialOnAMergedCapture) {
+  // Ten clients' episodes in one capture, one data frame garbled: at 1, 2
+  // and 8 shards, detect_pcap must raise the alerts of a sequential engine
+  // over transactions_from_pcap of the same capture, score bits included,
+  // and report exactly the faults that reconstruction counts.
+  dm::synth::TraceGenerator gen(920);
+  std::vector<dm::synth::Episode> episodes;
+  for (int i = 0; i < 6; ++i) episodes.push_back(gen.benign());
+  for (const char* family : {"Angler", "Neutrino", "Nuclear", "RIG"}) {
+    episodes.push_back(gen.infection(dm::synth::family_by_name(family)));
+  }
+  dm::synth::Episode merged;
+  std::uint64_t start = 1'500'000'000ULL * 1'000'000;
+  int client = 0;
+  for (auto& episode : episodes) {
+    if (episode.transactions.empty()) continue;
+    const std::string ip = "10.91.0." + std::to_string(++client);
+    const std::uint64_t base = episode.transactions.front().request.ts_micros;
+    for (auto& txn : episode.transactions) {
+      txn.client_host = ip;
+      txn.request.ts_micros = txn.request.ts_micros - base + start;
+      if (txn.response) {
+        txn.response->ts_micros = txn.response->ts_micros - base + start;
+      }
+      merged.transactions.push_back(std::move(txn));
+    }
+    start += 400'000;
+  }
+  std::stable_sort(merged.transactions.begin(), merged.transactions.end(),
+                   [](const HttpTransaction& a, const HttpTransaction& b) {
+                     return a.request.ts_micros < b.request.ts_micros;
+                   });
+  auto capture = dm::synth::episode_to_pcap(merged);
+  // Garble the ethertype of the first frame that carries TCP payload (a
+  // benign client's request) so it no longer decodes.
+  const auto data_frame = std::find_if(
+      capture.packets.begin(), capture.packets.end(),
+      [](const dm::net::PcapPacket& pkt) {
+        const auto parsed = dm::net::parse_ethernet_ipv4_tcp(pkt.data);
+        return parsed && !parsed->payload.empty();
+      });
+  ASSERT_NE(data_frame, capture.packets.end());
+  data_frame->data[12] = 0xde;
+  data_frame->data[13] = 0xad;
+
+  dm::util::FaultStats faults;
+  const auto stream = dm::http::transactions_from_pcap(capture, &faults);
+  const dm::util::FaultStatsSnapshot reconstructed = faults.snapshot();
+  EXPECT_EQ(
+      reconstructed.count(dm::util::DecodeErrorCode::kFrameUndecodable), 1u);
+  const auto expected = sorted_keys(run_sequential(stream));
+  ASSERT_FALSE(expected.empty()) << "merged capture raised no alerts";
+
+  for (const std::size_t shards : {1u, 2u, 8u}) {
+    const std::string what = std::to_string(shards) + " shard(s)";
+    const IngestResult result =
+        detect_pcap(capture, shared_detector(), fence_options(shards));
+    expect_same_alerts(result.alerts, expected, what);
+    EXPECT_EQ(result.transactions, stream.size()) << what;
+    EXPECT_EQ(result.online.transactions_seen, stream.size()) << what;
+    EXPECT_EQ(result.faults.counts, reconstructed.counts) << what;
+  }
 }
 
 TEST(ParallelIngestTest, MissingPcapFileReportsAnError) {
