@@ -13,9 +13,9 @@
 // the bench asserts resident sessions peak >= 1M, that RSS stays flat once
 // the budget caps the map (fill-point RSS vs end-of-run RSS), and that the
 // LRU evictions balance exactly (opened == resident + evicted).  Idle
-// expiry pops a deadline heap only when a deadline is due, so the
-// per-transaction cost is independent of the resident count — this bench is
-// what the O(all-sessions) scan could not finish.
+// expiry walks the LRU list from its head and stops at the first live
+// session, so the per-transaction cost is independent of the resident
+// count — this bench is what the O(all-sessions) scan could not finish.
 //
 // Phase 3 — budget determinism fence.  On a trace whose live-session
 // concurrency FITS the budget, the budgeted engine (sequential and sharded
@@ -132,7 +132,7 @@ void decode_rep(DecodeResult& r, std::uint64_t bytes, Fn&& decode) {
 
 /// Minimal single-transaction session opener: distinct client per index, no
 /// clue material, so the hot path measured is exactly session create +
-/// weeding + budget/deadline-heap upkeep.
+/// weeding + LRU and budget upkeep.
 HttpTransaction make_fill_txn(std::size_t i, std::uint64_t ts_micros) {
   HttpTransaction txn;
   txn.client_host = "10." + std::to_string((i >> 16) & 0xff) + "." +

@@ -140,9 +140,7 @@ OnlineDetector::OnlineDetector(std::shared_ptr<const Detector> detector,
                                          : &dm::obs::flight_recorder()),
       sess_obs_(options_.metrics != nullptr
                     ? dm::obs::SessionMetrics::of(*options_.metrics)
-                    : dm::obs::session_metrics()),
-      idle_timeout_micros_(static_cast<std::uint64_t>(
-          options_.session_idle_timeout_s * 1e6)) {}
+                    : dm::obs::session_metrics()) {}
 
 bool OnlineDetector::joinable(const Session& session,
                               std::uint64_t ts_micros) const noexcept {
@@ -214,19 +212,12 @@ OnlineDetector::Session& OnlineDetector::find_or_create_session(
   sess_obs_.resident.add(1);
   auto [it, inserted] = sessions_.emplace(session.key, std::move(session));
   Session& created = it->second;
-  // File at the earliest possible expiry (first activity + timeout); later
-  // activity only pushes the true deadline out, and expire_idle re-checks
-  // last_activity before erasing.
-  deadlines_.emplace(txn.request.ts_micros + idle_timeout_micros_,
-                     created.key);
-  // The map node and the deadline filing, the session's key and client
-  // strings, and the node's and the filing's copies of the key (both copied
-  // from created.key, so of one capacity).
+  // The map node, the session's key and client strings, and the node's copy
+  // of the key.
   pin_bytes(created,
             tree_node_bytes<std::pair<const std::string, Session>>() +
-                sizeof(decltype(deadlines_)::value_type) +
                 heap_bytes(created.key) + heap_bytes(created.client) +
-                2 * heap_bytes(it->first));
+                heap_bytes(it->first));
   return created;
 }
 
@@ -428,14 +419,13 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
   observe_span.stop();
   if (alert) {
     // Paper: the corresponding session is terminated — erased here, not
-    // left for its deadline to pop.
+    // left to idle out.
     erase_session(sessions_.find(session.key), EvictCause::kAlerted);
     // `session` is dangling from here on.
   }
-  // Every session's filing is at or before its true deadline, so this gate
-  // opens whenever some session is past its timeout, and is one comparison
-  // otherwise, however far the clock jumped.
-  if (!deadlines_.empty() && deadlines_.top().first <= now) expire_idle(now);
+  // One idle test of the LRU head when nothing is due, however far the
+  // clock jumped.
+  expire_idle(now);
   enforce_budget();
   return alert;
 }
@@ -482,9 +472,12 @@ std::optional<Alert> OnlineDetector::classify_session(
   double score = 0.0;
   try {
     if (options_.classifier_fault_hook) options_.classifier_fault_hook(arriving);
-    // The cache stays valid across a serving scorer's model swaps —
-    // graph-metric extraction is model-independent.
-    score = scorer_->score(wcg, &session.feature_cache);
+    // A memo per query, not per session: every query follows a fold that
+    // raised the WCG's topology version (each folded fact adds an edge), so
+    // a session's memo could hit only on the retry of a failed query.
+    // Within one query, a serving scorer's shadow candidate reuses it.
+    FeatureCache cache;
+    score = scorer_->score(wcg, &cache);
   } catch (const std::exception& e) {
     ++stats_.classifier_failures;
     session.scope_eval_valid = false;  // retry on the next update
@@ -540,33 +533,19 @@ std::optional<Alert> OnlineDetector::classify_session(
 }
 
 void OnlineDetector::expire_idle(std::uint64_t now_micros) {
+  // The grouping rule is the expiry rule: a session leaves once it can no
+  // longer be joined.  The head is the least recently touched session, on a
+  // time-ordered stream the one with the oldest activity, so a joinable
+  // head means nothing is due.
+  const auto head_due = [&] {
+    return lru_head_ != nullptr && !joinable(*lru_head_, now_micros);
+  };
+  if (!head_due()) return;
   // Timed in dm.session.expiry_ns — by design NOT part of the observe span
   // (obs_timer_test asserts verdict latency excludes this sweep).
   auto sweep_span = timer_.span(sess_obs_.expiry_ns);
-  while (!deadlines_.empty() && deadlines_.top().first <= now_micros) {
-    const std::string key = deadlines_.top().second;
-    deadlines_.pop();
-    const auto it = sessions_.find(key);
-    if (it == sessions_.end()) continue;  // stale: erased by alert or budget
-    Session& session = it->second;
-    // Same idle test as a full scan of the map: the heap only changes who
-    // gets *checked*, never who expires.  A session is filed at or before
-    // its true deadline, so every expired session pops here.
-    const double idle_s =
-        now_micros >= session.last_activity
-            ? static_cast<double>(now_micros - session.last_activity) / 1e6
-            : 0.0;
-    if (session.alerted || idle_s > options_.session_idle_timeout_s) {
-      erase_session(it, session.alerted ? EvictCause::kAlerted
-                                        : EvictCause::kIdle);
-    } else {
-      // Still live: activity moved the deadline since filing.  Re-file at
-      // the true deadline, clamped past `now` so this loop terminates.
-      deadlines_.emplace(
-          std::max(session.last_activity + idle_timeout_micros_,
-                   now_micros + 1),
-          key);
-    }
+  while (head_due()) {
+    erase_session(sessions_.find(lru_head_->key), EvictCause::kIdle);
   }
   sweep_span.stop();
 }
@@ -598,8 +577,6 @@ void OnlineDetector::erase_session(
       sess_obs_.evicted_budget_bytes.add(1);
       break;
   }
-  // The session's deadline stays filed and is skipped when it pops — lazy
-  // deletion keeps erase O(log n) with no heap search.
   sessions_.erase(it);
 }
 

@@ -20,7 +20,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,8 +47,11 @@ class WcgScorer {
   virtual ~WcgScorer() = default;
   /// Infection score in [0, 1] for a potential-infection WCG.  `cache` (may
   /// be null) memoizes graph-metric extraction exactly like
-  /// Detector::score(wcg, cache).  Called from the owning detector's thread
-  /// only; a sharded engine gives each shard its own scorer instance.
+  /// Detector::score(wcg, cache).  The engine hands each query a fresh
+  /// cache, so it saves work only when the scorer extracts the same WCG
+  /// twice, as a serving scorer does for its shadow candidate.  Called from
+  /// the owning detector's thread only; a sharded engine gives each shard
+  /// its own scorer instance.
   virtual double score(const Wcg& wcg, FeatureCache* cache) = 0;
 };
 
@@ -68,7 +70,7 @@ struct SessionBudget {
   /// Maximum resident session bytes (see OnlineDetector::
   /// session_bytes_pinned): what the sessions' storage allocates, summed
   /// from sizeof and capacity(), not an estimate.  On unscored, untraced
-  /// sessions of one page or of two redirect hops it reads 0.98-0.99 of
+  /// sessions of one page or of two redirect hops it reads 0.998-0.999 of
   /// the allocator's growth (core_session_budget_test); it leaves out the
   /// engine's per-client session counters and the WCG a scored session's
   /// fold has built.
@@ -107,7 +109,7 @@ struct OnlineOptions {
   dm::obs::MetricsRegistry* metrics = nullptr;
   dm::obs::ClockFn clock = nullptr;
   /// When set, classify_session queries this scorer instead of the
-  /// constructor-bound detector (the scorer decides how to use the cache).
+  /// constructor-bound detector, with a FeatureCache local to the query.
   /// Exceptions it throws are quarantined exactly like detector failures.
   std::shared_ptr<WcgScorer> scorer;
   /// Verdict tap: invoked after every *completed* classifier query with the
@@ -185,31 +187,45 @@ class OnlineDetector {
   OnlineDetector(std::shared_ptr<const Detector> detector,
                  OnlineOptions options = {});
 
-  /// Feeds one transaction (stream must be in time order); returns an alert
-  /// if this update tipped a session over the decision threshold.  The
-  /// engine keeps the transaction's facts (TxnFacts, derived once here), not
-  /// the transaction: the argument, with its body, header lists and shell,
-  /// is freed when observe() returns.  Until then it stays whole, and
-  /// OnlineOptions::classifier_fault_hook is handed it.
+  /// Feeds one transaction; returns an alert if this update tipped a
+  /// session over the decision threshold.  The engine keeps the
+  /// transaction's facts (TxnFacts, derived once here), not the
+  /// transaction: the argument, with its body, header lists and shell, is
+  /// freed when observe() returns.  Until then it stays whole, and
+  /// OnlineOptions::classifier_fault_hook is handed it.  Every call ends
+  /// with expire_idle(the transaction's timestamp).
+  ///
+  /// The stream should be in time order, as every producer in this
+  /// repository emits it.  Then each call leaves exactly the sessions a
+  /// full scan at that timestamp would leave.  On out-of-order input a
+  /// session never leaves early, and leaves late by at most how far the
+  /// stream clock led the transaction that last touched it (see
+  /// expire_idle).  While it lingers, joinable() keeps it out of grouping
+  /// at timestamps past its timeout, but a later transaction stamped
+  /// within the timeout of its last activity can still join it where a
+  /// full scan would already have erased it and opened a new session.
   std::optional<Alert> observe(dm::http::HttpTransaction transaction);
 
-  /// Expires idle sessions relative to `now_micros`.  Pops the deadline
-  /// heap while its earliest deadline is due, so the cost is O(log n) per
-  /// session actually due, not O(all sessions).  observe() calls it only
-  /// when a deadline has come due; callers may also call it directly (it is
-  /// one comparison when nothing is due).
+  /// Expires idle sessions relative to `now_micros`: erases from the LRU
+  /// head while the head is not joinable() at `now_micros`.  On a
+  /// time-ordered stream recency order is last-activity order, so the walk
+  /// stops at the first live session and erases exactly the sessions idle
+  /// past the timeout, at O(log n) each; when nothing is due it is one idle
+  /// test of the head.  A session touched by a transaction that lagged the
+  /// stream clock by L sits behind sessions at most L newer than its last
+  /// activity, so it can outlive its timeout by at most L.
   void expire_idle(std::uint64_t now_micros);
 
   const OnlineStats& stats() const noexcept { return stats_; }
   const std::vector<Alert>& alerts() const noexcept { return alerts_; }
   std::size_t active_sessions() const noexcept { return sessions_.size(); }
   /// Bytes pinned by resident session state — the quantity
-  /// SessionBudget::max_bytes caps: each session's map node and deadline
-  /// filing, its strings that outgrew the small-string buffer, its host-set
-  /// nodes, the capacity of its log, each fact's heap strings, the scoped
-  /// fold's state (once, when the clue allocates it) and the flight ring,
-  /// derived from sizeof and capacity(), each allocation charged with
-  /// malloc's chunk header and rounding.
+  /// SessionBudget::max_bytes caps: each session's map node, its strings
+  /// that outgrew the small-string buffer, its host-set nodes, the capacity
+  /// of its log, each fact's heap strings, the scoped fold's state (once,
+  /// when the clue allocates it) and the flight ring, derived from sizeof
+  /// and capacity(), each allocation charged with malloc's chunk header and
+  /// rounding.
   std::size_t session_bytes_pinned() const noexcept { return bytes_pinned_; }
 
  private:
@@ -251,10 +267,6 @@ class OnlineDetector {
     /// classify_session; it refolds in place when suspicious_hosts has
     /// grown since its last update.
     std::unique_ptr<WcgFold> scoped;
-    /// Graph-metrics memo for the scoped WCG.  Its (address, topology
-    /// version) key needs no invalidation: the fold keeps one address and
-    /// only raises the version.
-    FeatureCache feature_cache;
     /// Whether the scoped WCG as of its last update has a completed
     /// evaluation: classify_session skips the query while the fold has
     /// nothing new.  A failed (throwing) query clears it so faults are
@@ -280,7 +292,8 @@ class OnlineDetector {
     /// grown as it allocates, released in full when it is erased.
     std::size_t approx_bytes = 0;
     /// Intrusive LRU list by stream recency (std::map nodes are
-    /// address-stable).  Head = least recently active = first evicted.
+    /// address-stable).  Head = least recently active = first evicted by
+    /// the budget and first to idle out (expire_idle).
     Session* lru_prev = nullptr;
     Session* lru_next = nullptr;
   };
@@ -299,14 +312,15 @@ class OnlineDetector {
   /// True when `session` may still be joined at time `ts_micros`: sessions
   /// idle past the timeout are dead even if not yet garbage-collected.
   /// Keeping this a pure function of (transaction, session) makes grouping
-  /// independent of when expire_idle happens to run — the property the
-  /// sharded runtime's determinism guarantee rests on.
+  /// on a time-ordered stream independent of when expire_idle happens to
+  /// run — the property the sharded runtime's determinism guarantee rests
+  /// on.  It is also expire_idle's test: a session leaves the map once it
+  /// can no longer be joined.
   bool joinable(const Session& session, std::uint64_t ts_micros) const noexcept;
 
   // --- Budgeted session lifecycle (DESIGN.md §15) ------------------------
   /// Unlinks + erases one session, charging the right eviction counter and
-  /// releasing its pinned bytes.  The only way sessions leave the map; its
-  /// deadline stays in the heap and is dropped when it pops.
+  /// releasing its pinned bytes.  The only way sessions leave the map.
   void erase_session(std::map<std::string, Session>::iterator it,
                      EvictCause cause);
   /// Evicts LRU-first until both budget limits hold again.  Never evicts
@@ -336,18 +350,6 @@ class OnlineDetector {
   OnlineStats stats_;
   std::vector<Alert> alerts_;
   dm::obs::SessionMetrics sess_obs_;  // dm.session.* panel handles
-  /// Idle deadlines, earliest on top: (deadline micros, session key).  A
-  /// session is filed at first activity + timeout and re-filed by
-  /// expire_idle while still live, so its filing is never later than its
-  /// true deadline.  Erased sessions leave their filing behind (lazy
-  /// deletion).  Keys are never reused, so (deadline, key) is a total order
-  /// and pops are deterministic.  idle_timeout in micros is precomputed (the
-  /// double->int conversion happens once, so filing and re-filing agree).
-  std::priority_queue<std::pair<std::uint64_t, std::string>,
-                      std::vector<std::pair<std::uint64_t, std::string>>,
-                      std::greater<>>
-      deadlines_;
-  std::uint64_t idle_timeout_micros_ = 0;
   /// Intrusive LRU list endpoints (see Session::lru_prev/lru_next).
   Session* lru_head_ = nullptr;
   Session* lru_tail_ = nullptr;

@@ -12,11 +12,11 @@ struct Txn {
   std::string host = "site.example";
   std::string uri = "/";
   std::string method = "GET";
-  std::string referrer;
+  std::string referrer = {};
   int status = 200;
   std::string content_type = "text/html";
   std::string body = "<html></html>";
-  std::string location;
+  std::string location = {};
   std::uint64_t ts = 0;  // seconds offset, converted to micros
 
   HttpTransaction build() const {

@@ -1,16 +1,19 @@
 // Budgeted-session-lifecycle fences (DESIGN.md §15).
 //
-// The deadline heap and the LRU budget replaced the per-observe
-// O(all-sessions) scan, so these tests hold the replacement to the scan's
-// exact semantics:
+// Idle expiry from the LRU head and the LRU budget replaced the
+// per-observe O(all-sessions) scan, so these tests hold the replacement to
+// the scan's exact semantics:
 //
 //  * SessionLifecycleModelTest — the whole engine against a brute-force
 //    model that re-applies the old full-scan expiry predicate after every
 //    event: resident set, opened count, and expired count must agree at
-//    every step.  Three gap profiles: 0-40 s gaps (re-filing across the
-//    30 s join gap), mostly sub-second gaps (filing and sweeping within
-//    one second, where a late or lost filing shows), and occasional
+//    every step.  Three gap profiles: 0-40 s gaps (straddling the 30 s
+//    join gap), mostly sub-second gaps (activity and sweeps within one
+//    second, where an off-by-one idle test shows), and occasional
 //    multi-day jumps (everything due at once).
+//  * SessionLifecycleSkewTest — the same stream with late transactions:
+//    the engine stays between a full scan at the timeout and one at the
+//    timeout plus the largest lag.
 //  * SessionBudgetTest — determinism (same stream twice -> identical
 //    counters and alerts), the resident cap holding after every observe,
 //    per-cause conservation through the dm.session.* panel, the byte
@@ -182,8 +185,9 @@ TEST_P(SessionLifecycleModelTest, ExpiryMatchesFullScanModel) {
         live.push_back(now);
         ++model_opened;
       }
-      // The deadline gate guarantees observe() ran the sweep if anything
-      // could be due, so the engine is scan-clean after every transaction.
+      // observe() ends with the LRU walk, and on a time-ordered stream the
+      // LRU list is in last-activity order, so the engine is scan-clean
+      // after every transaction.
       model_expire(now);
     }
 
@@ -207,6 +211,131 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GapProfile>& info) {
       return std::string(profile_name(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// Out-of-order input: expiry late by at most the lag, never early
+// ---------------------------------------------------------------------------
+
+/// A full-scan model of the engine's sessions on the lifecycle stream: it
+/// groups by the engine's joinable and join-gap rules (the engine's idle
+/// timeout, late timestamps included) over its own resident sessions, and
+/// expires by a full scan at `expiry_timeout_s`.
+class FullScanModel {
+ public:
+  FullScanModel(const OnlineOptions& options, double expiry_timeout_s)
+      : options_(options), expiry_timeout_s_(expiry_timeout_s) {}
+
+  /// One transaction of `client` stamped `ts`, then a full scan at `ts`.
+  void observe(const std::string& client, std::uint64_t ts) {
+    auto& live = live_[client];
+    std::uint64_t* best = nullptr;
+    for (auto& last : live) {
+      const bool late = ts < last;
+      const double gap_s = late ? 0.0 : static_cast<double>(ts - last) / 1e6;
+      const bool joinable = late || gap_s <= options_.session_idle_timeout_s;
+      if (joinable && (late || gap_s <= options_.session_join_gap_s) &&
+          (best == nullptr || last > *best)) {
+        best = &last;
+      }
+    }
+    if (best != nullptr) {
+      *best = std::max(*best, ts);
+    } else {
+      live.push_back(ts);
+      ++opened_;
+    }
+    expire(ts);
+  }
+
+  void expire(std::uint64_t ts) {
+    for (auto& [client, live] : live_) {
+      std::erase_if(live, [&](std::uint64_t last) {
+        return ts >= last &&
+               static_cast<double>(ts - last) / 1e6 > expiry_timeout_s_;
+      });
+    }
+  }
+
+  std::size_t live() const {
+    std::size_t n = 0;
+    for (const auto& [client, live] : live_) n += live.size();
+    return n;
+  }
+  std::size_t opened() const { return opened_; }
+
+ private:
+  const OnlineOptions& options_;
+  double expiry_timeout_s_;
+  /// Per client, the last-activity stamp of every resident session.
+  std::map<std::string, std::vector<std::uint64_t>> live_;
+  std::size_t opened_ = 0;
+};
+
+TEST(SessionLifecycleSkewTest, LateTransactionsDelayExpiryByAtMostTheirLag) {
+  // The lifecycle model's 40-client stream, except that one transaction in
+  // five is stamped up to kLag behind the stream clock.  Expiry walks the
+  // LRU list, which such a transaction leaves out of last-activity order,
+  // so the engine must hold between a full scan at the timeout (never
+  // early) and one at the timeout + kLag (late by at most the lag).  The
+  // timeout minus the lag exceeds the join gap and no transaction carries a
+  // session id, so no transaction can join a session one side has erased
+  // and the other has not: all three group alike.
+  OnlineOptions options;
+  options.redirect_chain_threshold = 2;
+  OnlineDetector online(shared_detector(), options);
+  constexpr std::uint64_t kLag = 20'000'000;
+  ASSERT_GT(options.session_idle_timeout_s - kLag / 1e6,
+            options.session_join_gap_s);
+  FullScanModel on_time(options, options.session_idle_timeout_s);
+  FullScanModel lagged(options, options.session_idle_timeout_s + kLag / 1e6);
+
+  std::mt19937_64 rng(77);
+  constexpr std::size_t kClients = 40;
+  std::uint64_t now = kEpoch;  // the stream clock
+  std::size_t late_events = 0;  // events after which a session lingered
+  for (int event = 0; event < 1500; ++event) {
+    now += draw_gap(GapProfile::kUpTo40s, rng);
+    if (rng() % 10 == 0) {
+      online.expire_idle(now);
+      on_time.expire(now);
+      lagged.expire(now);
+    } else {
+      const std::size_t c = rng() % kClients;
+      const std::string client = "10.1.1." + std::to_string(c);
+      const std::uint64_t ts = rng() % 5 == 0 ? now - rng() % (kLag + 1) : now;
+      dm::http::HttpTransaction txn;
+      txn.client_host = client;
+      txn.server_host = "svc-" + std::to_string(c) + ".example";
+      txn.request.method = "GET";
+      txn.request.uri = "/p" + std::to_string(event);
+      txn.request.ts_micros = ts;
+      dm::http::HttpResponse res;
+      res.status_code = 200;
+      res.ts_micros = ts + 200;
+      res.headers.add("Content-Type", "text/html");
+      txn.response = std::move(res);
+      online.observe(std::move(txn));
+      on_time.observe(client, ts);
+      lagged.observe(client, ts);
+    }
+
+    ASSERT_GE(online.active_sessions(), on_time.live())
+        << "event " << event << ": a session left before its timeout";
+    ASSERT_LE(online.active_sessions(), lagged.live())
+        << "event " << event << ": a session outlived its timeout + lag";
+    ASSERT_EQ(online.stats().sessions_opened, on_time.opened())
+        << "event " << event;
+    ASSERT_EQ(on_time.opened(), lagged.opened()) << "event " << event;
+    if (online.active_sessions() > on_time.live()) ++late_events;
+  }
+  // The late transactions actually reordered the LRU list past a due session.
+  EXPECT_GT(late_events, 0u);
+  EXPECT_GT(on_time.opened(), kClients);
+
+  online.expire_idle(now + 86'400ULL * 1'000'000);
+  EXPECT_EQ(online.active_sessions(), 0u);
+  EXPECT_EQ(online.stats().sessions_opened, online.stats().sessions_expired);
+}
 
 // ---------------------------------------------------------------------------
 // Budget: determinism, cap, conservation, shard invisibility

@@ -8,7 +8,7 @@
 // WcgBuilder::build(), extracts features without a cache, and scores with
 // the pointer RandomForest; it never skips a query.  It shares no code with
 // the engine's scope maintenance, unchanged-scope skip, FeatureCache,
-// FlatForest, range-scan session lookup or deadline heap, so agreement is
+// FlatForest, range-scan session lookup or LRU expiry walk, so agreement is
 // evidence that each of those shortcuts is exact.  Session budgets, fault
 // hooks, the scorer seam and tracing are out of its scope.
 #pragma once
