@@ -361,10 +361,20 @@ int main(int argc, char** argv) {
   // --- phase 3: budget determinism fence ----------------------------------
   const auto fence_trace = build_fence_trace(seed);
   const dm::core::SessionBudget fitting{64, 0};
-  const auto reference = sorted_keys(run_sequential(fence_trace, {}));
+  const auto unbounded = run_sequential(fence_trace, {});
+  const auto reference = sorted_keys(unbounded);
   if (reference.empty()) {
     std::fprintf(stderr, "FATAL: fence trace produced no alerts — the "
                          "identity fence would be vacuous\n");
+    return 1;
+  }
+  // Self-check: the comparison must object to an injected divergence, the
+  // unbounded run with one alert dropped.
+  auto dropped = unbounded;
+  dropped.pop_back();
+  if (sorted_keys(dropped) == reference) {
+    std::fprintf(stderr, "FATAL: the alert-identity comparison accepted a run "
+                         "with one alert dropped\n");
     return 1;
   }
   if (sorted_keys(run_sequential(fence_trace, fitting)) != reference) {

@@ -7,11 +7,13 @@
 // the 1-shard and sequential alert sets.  A throughput number for a wrong
 // answer is worthless, so the process aborts on divergence.
 //
-// Where the speedup comes from: the sequential engine pays two scans over
-// ALL live sessions per transaction (session matching + idle expiry).
-// Client-sharding gives each shard a session table ~K× smaller, so the
-// per-transaction work drops by ~K even before true hardware parallelism —
-// which is why the ≥3× target at 8 shards holds on a single-core container.
+// Where the speedup comes from: each shard scores its clients' sessions on
+// its own worker, so the WCG fold, feature extraction and the ERF spread
+// over K workers, and the gain is bounded by the hardware threads there
+// are.  Session lookup (O(log n + the client's own sessions)) and idle
+// expiry (one LRU-head test when nothing is due) cost about the same in
+// either engine, so one shard, which adds the dispatch and queue hop and no
+// parallelism, is no faster than the sequential engine.
 // `--metrics` additionally measures the instrumentation tax (same trace,
 // obs idle vs active — the acceptance budget is < 3%) and prints the full
 // per-stage latency panel including clue-to-verdict p50/p95/p99.

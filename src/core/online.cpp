@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <span>
 
 #include "http/classify.h"
 #include "http/redirect_miner.h"
@@ -156,11 +157,8 @@ OnlineDetector::Session& OnlineDetector::find_or_create_session(
   // SAME client, and session keys are exactly "client#seq" (client hosts
   // never contain '#'), so one client's sessions occupy a contiguous key
   // range of the ordered map.  Scanning just that range visits the same
-  // candidates in the same (lexicographic-key) order the old full-map walk
-  // did — grouping, and hence the alert set, is unchanged — while the cost
-  // drops from O(all live sessions) to O(log n + this client's sessions):
-  // the other scaling wall (besides idle expiry) on the million-session
-  // path.
+  // candidates in the same (lexicographic-key) order a walk of the whole map
+  // would, so a lookup costs O(log n + this client's sessions).
   const std::string prefix = txn.client_host + "#";
   const auto range_begin = sessions_.lower_bound(prefix);
   const auto in_range = [&](const std::map<std::string, Session>::iterator& it) {
@@ -187,7 +185,6 @@ OnlineDetector::Session& OnlineDetector::find_or_create_session(
   Session* best = nullptr;
   for (auto it = range_begin; in_range(it); ++it) {
     Session& session = it->second;
-    if (session.alerted) continue;
     if (!joinable(session, txn.request.ts_micros)) continue;
     const double gap_s =
         static_cast<double>(txn.request.ts_micros - session.last_activity) / 1e6;
@@ -203,21 +200,18 @@ OnlineDetector::Session& OnlineDetector::find_or_create_session(
   }
   if (best) return *best;
 
-  // 3. New session.
-  Session session;
-  session.key =
+  // 3. New session.  The map node holds its key; the session points at it.
+  const std::string key =
       txn.client_host + "#" + std::to_string(next_session_seq_[txn.client_host]++);
-  session.client = txn.client_host;
   ++stats_.sessions_opened;
   sess_obs_.resident.add(1);
-  auto [it, inserted] = sessions_.emplace(session.key, std::move(session));
+  const auto it = sessions_.try_emplace(key).first;
   Session& created = it->second;
-  // The map node, the session's key and client strings, and the node's copy
-  // of the key.
-  pin_bytes(created,
-            tree_node_bytes<std::pair<const std::string, Session>>() +
-                heap_bytes(created.key) + heap_bytes(created.client) +
-                heap_bytes(it->first));
+  created.key = &it->first;
+  created.client = txn.client_host;
+  // The map node, its key and the session's client string.
+  pin_bytes(created, tree_node_bytes<std::pair<const std::string, Session>>() +
+                         heap_bytes(it->first) + heap_bytes(created.client));
   return created;
 }
 
@@ -236,7 +230,6 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
   const auto sid = dm::http::extract_session_id(arriving);
   Session& session = find_or_create_session(arriving, sid);
   lru_touch(session);  // most recently active; last in eviction order
-  if (session.alerted) return std::nullopt;  // terminated by an earlier alert
 
   // The engine keeps the transaction's facts, derived once here, and reads
   // them for the rest of this call.  The argument stays whole for the
@@ -265,7 +258,7 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
   std::optional<dm::obs::ScopedTraceSpan> tspan;
   if (tracing) {
     if (session.trace_session == 0) {
-      session.trace_session = dm::util::fnv1a(session.key);
+      session.trace_session = dm::util::fnv1a(*session.key);
       session.trace_sampled = trace_->sampled(dm::util::fnv1a(session.client));
     }
     if (session.flight_ring == nullptr) {
@@ -304,10 +297,6 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
       txn.has_response && ((txn.status >= 300 && txn.status < 400) ||
                            !txn.redirect_targets.empty());
 
-  if (!session.clue_fired) {
-    insert_host(session, session.hosts_before_clue, txn.server_host);
-  }
-
   std::optional<Alert> alert;
   const bool risky_download = dm::http::is_download_type(txn.payload) &&
                               txn.has_response && txn.status == 200;
@@ -326,11 +315,8 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
     if (risky_download &&
         session.longest_redirect_run >= options_.redirect_chain_threshold) {
       insert_host(session, session.suspicious_hosts, txn.server_host);
-      if (!session.clue_fired) {
-        session.clue_fired = true;
-        session.clue_host = txn.server_host;
-        pin_bytes(session, heap_bytes(session.clue_host));
-        session.clue_payload = txn.payload;
+      if (session.scoped == nullptr) {
+        session.clue = session.log.size() - (logged ? 1 : 0);
         // Going back in time (§V-B) starts here: the first verdict below
         // folds the log from its first fact.  The fold's state is charged
         // once; the WCG it builds is not (see session_bytes_pinned).
@@ -347,16 +333,26 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
     session.current_redirect_run = 0;
   }
 
-  if (session.clue_fired) {
+  if (session.scoped != nullptr) {
     // Post-clue expansion: requests referred from an implicated host join
     // the potential-infection WCG, as do call-back candidates — POSTs to
     // hosts never seen before the clue (§II-D's never-seen C&C endpoints).
     if (!ref_host.empty() && session.suspicious_hosts.count(ref_host)) {
       insert_host(session, session.suspicious_hosts, txn.server_host);
     }
+    // A host was seen before the clue iff a fact logged before it,
+    // log[0, clue), names it; the clue download's own host is implicated
+    // already.  Implicated hosts skip the scan, so a call-back host is
+    // scanned for once.
     if (txn.method == "POST" &&
-        session.hosts_before_clue.count(txn.server_host) == 0) {
-      insert_host(session, session.suspicious_hosts, txn.server_host);
+        !session.suspicious_hosts.contains(txn.server_host)) {
+      const auto before_clue = std::span(session.log).first(session.clue);
+      if (std::none_of(before_clue.begin(), before_clue.end(),
+                       [&](const TxnFacts& seen) {
+                         return seen.server_host == txn.server_host;
+                       })) {
+        insert_host(session, session.suspicious_hosts, txn.server_host);
+      }
     }
   }
 
@@ -366,7 +362,7 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
   // invoking of the ERF classifier").
   const std::size_t queries_before = stats_.classifier_queries;
   const std::size_t failures_before = stats_.classifier_failures;
-  if (session.clue_fired) {
+  if (session.scoped != nullptr) {
     alert = classify_session(session, txn, arriving);
   }
 
@@ -403,12 +399,12 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
     // Forensic dumps (rate-gated inside the recorder, on trace time).
     if (alert) {
       flight_->dump(dm::obs::DumpTrigger::kAlert, session.trace_session,
-                    session.key, session.flight_ring->events(), now);
+                    *session.key, session.flight_ring->events(), now);
     } else if (failed) {
       flight_->dump(session.failure_run >= kQuarantineBurstRun
                         ? dm::obs::DumpTrigger::kQuarantineBurst
                         : dm::obs::DumpTrigger::kClassifierFailure,
-                    session.trace_session, session.key,
+                    session.trace_session, *session.key,
                     session.flight_ring->events(), now);
     }
   }
@@ -420,7 +416,7 @@ std::optional<Alert> OnlineDetector::observe(HttpTransaction arriving) {
   if (alert) {
     // Paper: the corresponding session is terminated — erased here, not
     // left to idle out.
-    erase_session(sessions_.find(session.key), EvictCause::kAlerted);
+    erase_session(sessions_.find(*session.key), EvictCause::kAlerted);
     // `session` is dangling from here on.
   }
   // One idle test of the LRU head when nothing is due, however far the
@@ -497,11 +493,11 @@ std::optional<Alert> OnlineDetector::classify_session(
                          score_microunits(score));
   // Headline metric: clue fired -> first completed ERF verdict, once per
   // clue-bearing WCG ("operates as traffic flows", §V).
-  if (!session.clue_latency_recorded && session.clue_fired_ns != 0) {
-    session.clue_latency_recorded = true;
+  if (session.clue_fired_ns != 0) {
     const std::uint64_t now_ns = timer_.now();
     obs_.detect_clue_to_verdict_ns.record(
         now_ns >= session.clue_fired_ns ? now_ns - session.clue_fired_ns : 0);
+    session.clue_fired_ns = 0;  // recorded
   }
   // Feed the serving layer's retraining loop: every completed verdict is an
   // observation of (WCG, label-as-classified).
@@ -514,18 +510,17 @@ std::optional<Alert> OnlineDetector::classify_session(
   Alert alert;
   alert.ts_micros = txn.request_ts;
   alert.client = session.client;
-  alert.session_key = session.key;
+  alert.session_key = *session.key;
   alert.score = score;
   // Attribute the alert to the clue download (the paper reports alerts as
   // issued "right after a download of" the offending payload), not to
   // whichever later update crossed the threshold.
-  alert.trigger_host = session.clue_host.empty() ? txn.server_host : session.clue_host;
-  alert.trigger_payload = session.clue_payload != dm::http::PayloadType::kNone
-                              ? session.clue_payload
-                              : txn.payload;
+  const TxnFacts& clue =
+      session.clue < session.log.size() ? session.log[session.clue] : txn;
+  alert.trigger_host = clue.server_host;
+  alert.trigger_payload = clue.payload;
   alert.wcg_order = wcg.node_count();
   alert.wcg_size = wcg.edge_count();
-  session.alerted = true;  // paper: the corresponding session is terminated
   ++stats_.alerts;
   obs_.detect_alerts.add(1);
   alerts_.push_back(alert);
@@ -545,7 +540,7 @@ void OnlineDetector::expire_idle(std::uint64_t now_micros) {
   // (obs_timer_test asserts verdict latency excludes this sweep).
   auto sweep_span = timer_.span(sess_obs_.expiry_ns);
   while (head_due()) {
-    erase_session(sessions_.find(lru_head_->key), EvictCause::kIdle);
+    erase_session(sessions_.find(*lru_head_->key), EvictCause::kIdle);
   }
   sweep_span.stop();
 }
@@ -594,14 +589,14 @@ void OnlineDetector::enforce_budget() {
   if (budget.max_sessions != 0) {
     while (sessions_.size() > budget.max_sessions && lru_head_ != nullptr &&
            lru_head_ != lru_tail_) {
-      erase_session(sessions_.find(lru_head_->key),
+      erase_session(sessions_.find(*lru_head_->key),
                     EvictCause::kBudgetSessions);
     }
   }
   if (budget.max_bytes != 0) {
     while (bytes_pinned_ > budget.max_bytes && lru_head_ != nullptr &&
            lru_head_ != lru_tail_) {
-      erase_session(sessions_.find(lru_head_->key), EvictCause::kBudgetBytes);
+      erase_session(sessions_.find(*lru_head_->key), EvictCause::kBudgetBytes);
     }
   }
   sweep_span.stop();

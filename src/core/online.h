@@ -230,7 +230,9 @@ class OnlineDetector {
 
  private:
   struct Session {
-    std::string key;
+    /// The key of this session's map node ("client#n"), which holds the one
+    /// copy; std::map nodes are address-stable.
+    const std::string* key = nullptr;
     std::string client;
     /// The facts of every transaction of the session in stream order,
     /// minus the ones a WcgBuilder would weed (trusted vendor, no server
@@ -242,8 +244,6 @@ class OnlineDetector {
     std::uint64_t last_activity = 0;
     std::uint32_t current_redirect_run = 0;  // consecutive redirect hops
     std::uint32_t longest_redirect_run = 0;
-    bool clue_fired = false;
-    bool alerted = false;
     /// Hosts implicated by the clue: redirect-chain members, mined redirect
     /// targets, the triggering download host, and post-clue call-back
     /// candidates.  The potential-infection WCG (§V-B "goes back in time")
@@ -251,14 +251,16 @@ class OnlineDetector {
     /// malicious flow is not diluted by co-resident benign traffic.  Grows
     /// only.
     std::set<std::string> suspicious_hosts;
-    std::set<std::string> hosts_before_clue;
-    std::string clue_host;  // host serving the clue download
-    dm::http::PayloadType clue_payload = dm::http::PayloadType::kNone;
-    /// Clock stamp of the moment the clue fired, and whether the headline
-    /// clue-to-verdict latency has been recorded (once per clue-bearing WCG,
-    /// at the first *completed* ERF verdict).
+    /// The clue download's position in `log`, set when the clue fires (a
+    /// session has fired its clue iff `scoped` is set): log[0, clue) holds
+    /// the facts logged before it, and log[clue] is the download an alert
+    /// names.  A clue download with no server host is not logged, so its
+    /// position is the log's size at the clue (DESIGN.md §15).
+    std::size_t clue = 0;
+    /// Clock stamp of the moment the clue fired, zeroed once the headline
+    /// clue-to-verdict latency is recorded (once per clue-bearing WCG, at
+    /// the first *completed* ERF verdict).
     std::uint64_t clue_fired_ns = 0;
-    bool clue_latency_recorded = false;
 
     // --- Scoring state ---------------------------------------------------
     /// The potential-infection WCG: a fold of `log`, the session's one

@@ -236,13 +236,6 @@ PcapDecodeResult decode_pcap(std::span<const std::uint8_t> bytes,
   return result;
 }
 
-dm::util::Expected<PcapFile> parse_pcap(std::span<const std::uint8_t> bytes,
-                                        dm::util::FaultStats* faults) {
-  PcapDecodeResult result = decode_pcap(bytes, {}, faults);
-  if (result.fatal) return result.errors.front();
-  return std::move(result.file);
-}
-
 PcapFile quarantine_capture(const PcapDecodeResult& result) {
   PcapFile capture;
   capture.link_type = result.file.link_type;
@@ -251,9 +244,11 @@ PcapFile quarantine_capture(const PcapDecodeResult& result) {
 }
 
 PcapFile read_pcap(const std::vector<std::uint8_t>& bytes) {
-  auto parsed = parse_pcap(bytes);
-  if (!parsed) throw std::runtime_error("pcap: " + parsed.error().to_string());
-  return std::move(*parsed);
+  PcapDecodeResult result = decode_pcap(bytes);
+  if (result.fatal) {
+    throw std::runtime_error("pcap: " + result.errors.front().to_string());
+  }
+  return std::move(result.file);
 }
 
 void write_pcap_file(const std::string& path, const PcapFile& file) {

@@ -116,11 +116,6 @@ PcapDecodeResult decode_pcap(std::span<const std::uint8_t> bytes,
                              const PcapDecodeOptions& options = {},
                              dm::util::FaultStats* faults = nullptr);
 
-/// Header-validating decode for callers that need value-or-error: a fatal
-/// header fault becomes the DecodeError, anything else the salvaged file.
-dm::util::Expected<PcapFile> parse_pcap(std::span<const std::uint8_t> bytes,
-                                        dm::util::FaultStats* faults = nullptr);
-
 /// Re-wraps the quarantined records of a decode into a capture of their own
 /// (forensic dump; write with write_pcap / write_pcap_file).
 PcapFile quarantine_capture(const PcapDecodeResult& result);

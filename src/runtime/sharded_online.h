@@ -1,12 +1,14 @@
 // Session-sharded parallel on-the-wire detection (§V-B at scale).
 //
-// The sequential core::OnlineDetector processes one transaction at a time
-// and pays two O(total live sessions) scans per transaction (session lookup
-// and idle expiry).  This engine partitions the stream by a *pure function
-// of the transaction* — the client host — onto a fixed set of shards.  Each
-// shard owns a disjoint set of sessions and runs a private OnlineDetector,
-// so the hot path takes no locks and every per-transaction scan touches only
-// the shard's own sessions.
+// The sequential core::OnlineDetector scores on one thread.  Its session
+// lookup is O(log n + the client's own sessions) and its idle expiry one
+// test of the LRU head when nothing is due, so its session table is no
+// scaling wall; scoring (WCG fold, feature extraction, the ERF) is what one
+// engine cannot spread.  This engine partitions the stream by a *pure
+// function of the transaction* — the client host — onto a fixed set of
+// shards.  Each shard owns a disjoint set of sessions and runs a private
+// OnlineDetector on its own worker, so the hot path takes no locks and
+// scoring spreads over K workers.
 //
 // Why the client host is the shard key: §V-B groups transactions into
 // sessions by session ID and by the referrer/timestamp heuristic, and BOTH

@@ -88,7 +88,8 @@ struct ServeOptions {
   /// on an identical reservoir is byte-identical (the no-op fence).
   dm::ml::ForestOptions forest;
   /// Feature extraction for candidate detectors — must match the incumbent's
-  /// so shadow scoring can share the per-session extraction cache.
+  /// so shadow scoring can share the extraction memo the engine hands each
+  /// query.
   dm::core::FeatureExtractorOptions features;
   /// Decision threshold for candidate detectors and shadow hard decisions;
   /// keep equal to OnlineOptions::decision_threshold.

@@ -12,6 +12,10 @@
 //     verdict must carry the engine's score bits, including after a host is
 //     implicated retroactively (a scope refold); the shard aggregate must
 //     match the sequential engine's counters;
+//   * a post-clue POST implicates its host only if no transaction before
+//     the clue contacted it, and an alert names the clue download, not the
+//     transaction that raised it, without reading past the log when the
+//     clue download was not logged;
 //   * the fence itself must fail on an injected divergence;
 //   * observe() keeps only a transaction's facts: passing by copy or by
 //     std::move must be indistinguishable, and so must padding the header
@@ -148,6 +152,26 @@ HttpTransaction make_txn(const std::string& server, const std::string& uri,
   res.headers.add("Content-Type", "text/html");
   res.body.assign(64, 'x');
   txn.response = res;
+  return txn;
+}
+
+/// `from` answering 302 to `to`: one hop of a redirect chain.
+HttpTransaction redirect_hop(const std::string& from, const std::string& to,
+                             std::uint64_t ts_micros) {
+  auto txn = make_txn(from, "/r", ts_micros);
+  txn.response->status_code = 302;
+  txn.response->headers = {};
+  txn.response->headers.add("Location", "http://" + to + "/r");
+  txn.response->body.clear();
+  return txn;
+}
+
+/// A risky download: `server` serving /update.exe as an executable.
+HttpTransaction exe_download(const std::string& server,
+                             std::uint64_t ts_micros) {
+  auto txn = make_txn(server, "/update.exe", ts_micros);
+  txn.response->headers = {};
+  txn.response->headers.add("Content-Type", "application/octet-stream");
   return txn;
 }
 
@@ -606,24 +630,10 @@ TEST(HotpathOnlineTest, RetroactiveSuspiciousHostRescansAndStaysIdentical) {
   auto at = [](std::uint64_t s) { return s * 1'000'000; };
 
   stream.push_back(make_txn("cnc.example", "/beacon", at(1)));
-
-  auto chain = [&](const std::string& from, const std::string& to,
-                   std::uint64_t ts) {
-    auto txn = make_txn(from, "/r", ts);
-    txn.response->status_code = 302;
-    txn.response->headers = {};
-    txn.response->headers.add("Location", "http://" + to + "/r");
-    txn.response->body.clear();
-    return txn;
-  };
-  stream.push_back(chain("landing.example", "hop1.example", at(2)));
-  stream.push_back(chain("hop1.example", "hop2.example", at(3)));
-  stream.push_back(chain("hop2.example", "drop.example", at(4)));
-
-  auto payload = make_txn("drop.example", "/update.exe", at(5));
-  payload.response->headers = {};
-  payload.response->headers.add("Content-Type", "application/octet-stream");
-  stream.push_back(payload);
+  stream.push_back(redirect_hop("landing.example", "hop1.example", at(2)));
+  stream.push_back(redirect_hop("hop1.example", "hop2.example", at(3)));
+  stream.push_back(redirect_hop("hop2.example", "drop.example", at(4)));
+  stream.push_back(exe_download("drop.example", at(5)));
 
   auto callback = make_txn("cnc.example", "/report", at(6));
   callback.request.headers.add("Referer", "http://drop.example/update.exe");
@@ -660,6 +670,101 @@ TEST(HotpathOnlineTest, RetroactiveSuspiciousHostRescansAndStaysIdentical) {
               per_client(run.stats))
         << shards << " shards";
   }
+}
+
+/// A session whose clue fires on its last transaction, at 4 s: three
+/// redirect hops from landing.example to drop.example, then an executable
+/// download from drop.example.
+std::vector<HttpTransaction> clue_chain() {
+  return {redirect_hop("landing.example", "hop1.example", 1'000'000),
+          redirect_hop("hop1.example", "hop2.example", 2'000'000),
+          redirect_hop("hop2.example", "drop.example", 3'000'000),
+          exe_download("drop.example", 4'000'000)};
+}
+
+/// A POST to `server`, answered with a page.
+HttpTransaction post(const std::string& server, std::uint64_t ts_micros) {
+  auto txn = make_txn(server, "/report", ts_micros);
+  txn.request.method = "POST";
+  return txn;
+}
+
+TEST(HotpathOnlineTest, PostClueCallBackIsAHostFirstContactedAfterTheClue) {
+  // The call-back rule implicates a POST's host only if no transaction
+  // before the clue contacted it.  seen.example is contacted before the
+  // clue, fresh.example only after it (by a GET, then a POST).
+  std::vector<HttpTransaction> stream = {make_txn("seen.example", "/", 500'000)};
+  for (auto& txn : clue_chain()) stream.push_back(std::move(txn));
+  stream.push_back(post("seen.example", 5'000'000));         // skipped
+  stream.push_back(make_txn("fresh.example", "/", 6'000'000));  // skipped
+  stream.push_back(post("fresh.example", 7'000'000));        // refolds
+
+  // No score reaches the threshold, so every verdict is compared.
+  auto options = online_options();
+  options.decision_threshold = 2.0;
+  const VerdictRun run = expect_verdicts_match_reference(stream, options);
+  EXPECT_EQ(run.stats.clues_fired, 1u);
+  // The POST to seen.example leaves the scope as it was, and so does the
+  // GET to fresh.example; the POST to fresh.example grows it.
+  EXPECT_EQ(run.stats.queries_skipped_unchanged, 2u);
+  EXPECT_EQ(run.stats.scope_rescans, 2u);  // the clue's fold, then one refold
+  EXPECT_EQ(run.engine_verdicts, 2u);
+  EXPECT_EQ(run.oracle_verdicts, 4u);
+}
+
+/// Scores 0 before its `alerting`-th query and 1 from it on.
+class AlertsFromQuery final : public WcgScorer {
+ public:
+  explicit AlertsFromQuery(std::size_t alerting) : alerting_(alerting) {}
+  double score(const Wcg&, FeatureCache*) override {
+    return ++queries_ >= alerting_ ? 1.0 : 0.0;
+  }
+
+ private:
+  std::size_t alerting_;
+  std::size_t queries_ = 0;
+};
+
+TEST(HotpathOnlineTest, AlertNamesTheClueDownloadNotTheAlertingTransaction) {
+  // The clue's own verdict scores 0; a call-back POST after it refolds the
+  // scope and scores 1.  The alert comes on the POST, but names the clue
+  // download's host and payload.
+  auto options = online_options();
+  options.scorer = std::make_shared<AlertsFromQuery>(2);
+  OnlineDetector engine(shared_detector(), options);
+  for (auto& txn : clue_chain()) ASSERT_FALSE(engine.observe(std::move(txn)));
+  const auto callback = post("cnc.example", 5'000'000);
+  const auto clue_payload =
+      dm::http::classify_payload("application/octet-stream", "/update.exe");
+  ASSERT_NE(dm::http::classify_payload("text/html", callback.request.uri),
+            clue_payload);
+
+  const auto alert = engine.observe(callback);
+  ASSERT_TRUE(alert.has_value());
+  EXPECT_EQ(engine.stats().classifier_queries, 2u);
+  EXPECT_EQ(alert->ts_micros, callback.request.ts_micros);
+  EXPECT_EQ(alert->trigger_host, "drop.example");
+  EXPECT_EQ(alert->trigger_payload, clue_payload);
+}
+
+TEST(HotpathOnlineTest, UnloggedClueDownloadIsNeverReadFromTheLog) {
+  // A clue download with no server host is not logged, so its log position
+  // is past the log's end; the alert it raises at once names it from the
+  // transaction at hand.
+  auto options = online_options();
+  options.scorer = std::make_shared<AlertsFromQuery>(1);
+  OnlineDetector engine(shared_detector(), options);
+  auto chain = clue_chain();
+  chain.back().server_host.clear();
+  const auto clue = chain.back();
+  chain.pop_back();
+  for (auto& txn : chain) ASSERT_FALSE(engine.observe(std::move(txn)));
+
+  const auto alert = engine.observe(clue);
+  ASSERT_TRUE(alert.has_value());
+  EXPECT_EQ(engine.stats().clues_fired, 1u);
+  EXPECT_EQ(alert->trigger_host, "");
+  EXPECT_EQ(alert->trigger_payload, dm::http::PayloadType::kExe);
 }
 
 TEST(HotpathOnlineTest, PostClueRefoldsMatchReferenceOnFamilyCatalogAtL2AndL3) {
