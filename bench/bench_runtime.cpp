@@ -5,7 +5,13 @@
 // Before any timing, main() verifies the runtime's correctness invariant on
 // the benchmark trace itself: the 8-shard alert set must be IDENTICAL to
 // the 1-shard and sequential alert sets.  A throughput number for a wrong
-// answer is worthless, so the process aborts on divergence.
+// answer is worthless, so the process aborts on divergence.  The gate checks
+// itself first: the sequential set must be non-empty, and the same set with
+// one alert dropped must compare unequal.
+//
+// Each engine is timed over 5 repetitions of one full pass, and the median
+// is the row to read: single passes of one build swing by more than the
+// sharding gain.
 //
 // Where the speedup comes from: each shard scores its clients' sessions on
 // its own worker, so the WCG fold, feature extraction and the ERF spread
@@ -162,7 +168,12 @@ void BM_SequentialOnline(benchmark::State& state) {
                                                     benchmark_trace().size()));
   state.counters["alerts"] = static_cast<double>(alerts);
 }
-BENCHMARK(BM_SequentialOnline)->Unit(benchmark::kMillisecond)->UseRealTime()->Iterations(1);
+BENCHMARK(BM_SequentialOnline)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->Iterations(1)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 void BM_ShardedOnline(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
@@ -182,7 +193,9 @@ BENCHMARK(BM_ShardedOnline)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime()
-    ->Iterations(1);
+    ->Iterations(1)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 // --- runtime::Stats false-sharing A/B --------------------------------------
 // The pre-padding layout: hot counters packed shoulder to shoulder, so the
@@ -313,7 +326,20 @@ int main(int argc, char** argv) {
   std::printf("trace ready: %zu transactions\n", trace.size());
 
   std::printf("verifying alert-set equality (sequential vs 1 vs 8 shards)...\n");
-  const auto sequential = sorted_keys(run_sequential());
+  const auto alerts = run_sequential();
+  const auto sequential = sorted_keys(alerts);
+  if (sequential.empty()) {
+    std::fprintf(stderr, "FATAL: the trace produced no alerts — the identity "
+                         "gate would be vacuous\n");
+    return 1;
+  }
+  auto dropped = alerts;
+  dropped.pop_back();
+  if (sorted_keys(dropped) == sequential) {
+    std::fprintf(stderr, "FATAL: the alert-identity comparison accepted a run "
+                         "with one alert dropped\n");
+    return 1;
+  }
   const auto one = sorted_keys(run_sharded(1));
   const auto eight = sorted_keys(run_sharded(8));
   if (sequential != one || one != eight) {

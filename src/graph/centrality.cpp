@@ -1,9 +1,5 @@
 #include "graph/centrality.h"
 
-#include <algorithm>
-#include <queue>
-#include <stack>
-
 namespace dm::graph {
 
 std::vector<double> degree_centrality(const Adjacency& adj) {
@@ -15,127 +11,6 @@ std::vector<double> degree_centrality(const Adjacency& adj) {
     c[v] = static_cast<double>(adj[v].size()) * scale;
   }
   return c;
-}
-
-std::vector<double> closeness_centrality(const Adjacency& adj) {
-  const std::size_t n = adj.size();
-  std::vector<double> c(n, 0.0);
-  if (n < 2) return c;
-  for (NodeId v = 0; v < n; ++v) {
-    const auto dist = bfs_distances(adj, v);
-    double total = 0.0;
-    std::size_t reachable = 0;
-    for (std::uint32_t d : dist) {
-      if (d != kUnreachable && d > 0) {
-        total += static_cast<double>(d);
-        ++reachable;
-      }
-    }
-    if (total > 0.0) {
-      const double r = static_cast<double>(reachable);
-      c[v] = r / total * r / static_cast<double>(n - 1);
-    }
-  }
-  return c;
-}
-
-namespace {
-
-/// Shared single-source shortest-path DAG state for Brandes-style sweeps.
-struct SsspDag {
-  std::vector<std::uint32_t> dist;
-  std::vector<double> sigma;                 // shortest-path counts
-  std::vector<std::vector<NodeId>> preds;    // predecessors on shortest paths
-  std::vector<NodeId> order;                 // nodes in non-decreasing distance
-};
-
-SsspDag build_dag(const Adjacency& adj, NodeId source) {
-  const std::size_t n = adj.size();
-  SsspDag dag;
-  dag.dist.assign(n, kUnreachable);
-  dag.sigma.assign(n, 0.0);
-  dag.preds.assign(n, {});
-  dag.order.reserve(n);
-
-  std::queue<NodeId> frontier;
-  dag.dist[source] = 0;
-  dag.sigma[source] = 1.0;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop();
-    dag.order.push_back(v);
-    for (NodeId w : adj[v]) {
-      if (dag.dist[w] == kUnreachable) {
-        dag.dist[w] = dag.dist[v] + 1;
-        frontier.push(w);
-      }
-      if (dag.dist[w] == dag.dist[v] + 1) {
-        dag.sigma[w] += dag.sigma[v];
-        dag.preds[w].push_back(v);
-      }
-    }
-  }
-  return dag;
-}
-
-double pair_normalization(std::size_t n) {
-  // Undirected: each unordered pair is counted twice by the source loop.
-  if (n < 3) return 0.0;
-  return 1.0 / (static_cast<double>(n - 1) * static_cast<double>(n - 2));
-}
-
-}  // namespace
-
-std::vector<double> betweenness_centrality(const Adjacency& adj) {
-  const std::size_t n = adj.size();
-  std::vector<double> bc(n, 0.0);
-  const double norm = pair_normalization(n);
-  if (norm == 0.0) return bc;
-
-  for (NodeId s = 0; s < n; ++s) {
-    auto dag = build_dag(adj, s);
-    std::vector<double> delta(n, 0.0);
-    // Accumulate dependencies in reverse BFS order.
-    for (auto it = dag.order.rbegin(); it != dag.order.rend(); ++it) {
-      const NodeId w = *it;
-      for (NodeId v : dag.preds[w]) {
-        delta[v] += dag.sigma[v] / dag.sigma[w] * (1.0 + delta[w]);
-      }
-      if (w != s) bc[w] += delta[w];
-    }
-  }
-  for (double& x : bc) x *= norm;
-  return bc;
-}
-
-std::vector<double> load_centrality(const Adjacency& adj) {
-  const std::size_t n = adj.size();
-  std::vector<double> lc(n, 0.0);
-  const double norm = pair_normalization(n);
-  if (norm == 0.0) return lc;
-
-  for (NodeId s = 0; s < n; ++s) {
-    auto dag = build_dag(adj, s);
-    // Each reachable target starts with one unit of "load"; load at a node
-    // splits EQUALLY among its shortest-path predecessors (this equal split
-    // is what distinguishes load from betweenness).
-    std::vector<double> load(n, 0.0);
-    for (NodeId v = 0; v < n; ++v) {
-      if (v != s && dag.dist[v] != kUnreachable) load[v] += 1.0;
-    }
-    for (auto it = dag.order.rbegin(); it != dag.order.rend(); ++it) {
-      const NodeId w = *it;
-      if (dag.preds[w].empty()) continue;
-      const double share = load[w] / static_cast<double>(dag.preds[w].size());
-      for (NodeId v : dag.preds[w]) load[v] += share;
-    }
-    for (NodeId v = 0; v < n; ++v) {
-      if (v != s) lc[v] += load[v] - 1.0;  // subtract the unit that terminates at v
-    }
-  }
-  for (double& x : lc) x = std::max(0.0, x) * norm;
-  return lc;
 }
 
 }  // namespace dm::graph

@@ -1,7 +1,6 @@
-// Centrality measures over the undirected simple view of a WCG:
-// degree, closeness, betweenness (Brandes 2001) and load (Newman's
-// flow-splitting variant).  These back features f16-f19 of the paper and the
-// §II-C empirical study (Figures 3, 8, 9).
+// Degree centrality over the undirected simple view of a WCG (feature f16).
+// Closeness, betweenness and load (f17-f19) come from path_metrics() in
+// shortest_paths.h, which walks each source's shortest-path DAG once.
 #pragma once
 
 #include <vector>
@@ -12,21 +11,5 @@ namespace dm::graph {
 
 /// Degree centrality: deg(v) / (n - 1); 0 for graphs with < 2 nodes.
 std::vector<double> degree_centrality(const Adjacency& adj);
-
-/// Closeness centrality with the Wasserman-Faust improvement for
-/// disconnected graphs (matches networkx's default, which the paper's
-/// tooling used):
-///   C(v) = (r - 1) / sum_dists * (r - 1) / (n - 1)
-/// where r is the number of nodes reachable from v.
-std::vector<double> closeness_centrality(const Adjacency& adj);
-
-/// Betweenness centrality (Brandes), normalized by 2/((n-1)(n-2)) for the
-/// undirected view; 0 vector for graphs with < 3 nodes.
-std::vector<double> betweenness_centrality(const Adjacency& adj);
-
-/// Load centrality: like betweenness, but flow from each source splits
-/// equally among predecessors at every node rather than proportionally to
-/// path counts.  Same normalization as betweenness.
-std::vector<double> load_centrality(const Adjacency& adj);
 
 }  // namespace dm::graph

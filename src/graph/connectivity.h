@@ -1,7 +1,7 @@
 // Connectivity / neighborhood metrics: local & average node connectivity
 // (max-flow on vertex-split unit-capacity graphs), clustering coefficient,
-// average neighbor degree, degree connectivity, and k-nearest-neighbor
-// counts.  These back features f20-f24 and the §II-C study (Figure 7).
+// average neighbor degree, degree connectivity and reciprocity.  These back
+// features f15, f20-f23 and the §II-C study (Figure 7).
 #pragma once
 
 #include <cstdint>
@@ -12,17 +12,19 @@
 
 namespace dm::graph {
 
-/// Local node connectivity between s and t on the undirected view: the
-/// minimum number of nodes whose removal disconnects t from s (Menger),
-/// computed as max-flow with unit node capacities (vertex splitting,
-/// BFS augmenting paths).  If s and t are adjacent the edge bypasses node
-/// limits, following the standard convention of contracting it out.
+/// Local node connectivity between s and t on the undirected view (a sorted,
+/// symmetric adjacency): the minimum number of nodes whose removal
+/// disconnects t from s (Menger), computed as max-flow with unit node
+/// capacities (vertex splitting, BFS augmenting paths).  If s and t are
+/// adjacent the edge bypasses node limits, following the standard convention
+/// of contracting it out: the edge counts 1, plus the flow without it.
 std::uint32_t local_node_connectivity(const Adjacency& adj, NodeId s, NodeId t);
 
-/// Average node connectivity over node pairs.  Exact when the number of
-/// pairs is <= max_pairs; otherwise averages over `max_pairs` pairs sampled
-/// uniformly with the provided RNG (WCGs can reach 404 nodes — 81k pairs —
-/// where exact all-pairs flow would dominate feature-extraction time).
+/// Average node connectivity over node pairs, on one flow network built for
+/// the graph and reset per pair.  Exact when the number of pairs is <=
+/// max_pairs; otherwise averages over `max_pairs` pairs sampled uniformly
+/// with the provided RNG (WCGs can reach 404 nodes — 81k pairs — where
+/// exact all-pairs flow would dominate feature-extraction time).
 double average_node_connectivity(const Adjacency& adj, dm::util::Rng& rng,
                                  std::size_t max_pairs = 2000);
 
@@ -39,12 +41,9 @@ std::vector<double> average_neighbor_degrees(const Adjacency& adj);
 /// the graph, the mean average-neighbor-degree of nodes with degree k.
 std::map<std::size_t, double> average_degree_connectivity(const Adjacency& adj);
 
-/// Mean over nodes of |{u : 1 <= dist(v,u) <= k}| — "average number of
-/// nodes at k-nodes distance" (feature f24).  k defaults to 2 hops.
-double average_k_nearest_neighbors(const Adjacency& adj, std::uint32_t k = 2);
-
-/// Reciprocity of a directed graph: fraction of directed simple edges whose
-/// reverse also exists (feature f15).  0 for edgeless graphs.
-double reciprocity(const Digraph& g);
+/// Reciprocity of a directed simple adjacency (Digraph::directed_adjacency):
+/// fraction of edges whose reverse also exists (feature f15).  0 for
+/// edgeless graphs.
+double reciprocity(const Adjacency& directed_adj);
 
 }  // namespace dm::graph

@@ -8,10 +8,11 @@
 namespace dm::graph {
 namespace {
 
-double mean_of(const std::vector<double>& xs) {
+template <typename T>
+double mean_of(const std::vector<T>& xs) {
   if (xs.empty()) return 0.0;
   double s = 0.0;
-  for (double x : xs) s += x;
+  for (T x : xs) s += static_cast<double>(x);
   return s / static_cast<double>(xs.size());
 }
 
@@ -36,9 +37,9 @@ GraphMetrics compute_metrics(const Digraph& g, const MetricsOptions& options) {
   m.avg_degree = static_cast<double>(degree_sum) / static_cast<double>(n);
   m.avg_in_degree = static_cast<double>(in_sum) / static_cast<double>(n);
   m.avg_out_degree = static_cast<double>(out_sum) / static_cast<double>(n);
-  m.reciprocity = reciprocity(g);
 
   const auto directed = g.directed_adjacency();
+  m.reciprocity = reciprocity(directed);
   std::size_t simple_edges = 0;
   for (const auto& nbrs : directed) simple_edges += nbrs.size();
   if (n > 1) {
@@ -47,11 +48,12 @@ GraphMetrics compute_metrics(const Digraph& g, const MetricsOptions& options) {
   }
 
   const auto undirected = g.undirected_adjacency();
-  m.diameter = diameter(undirected);
+  const auto paths = path_metrics(undirected, options.knn_hops);
+  m.diameter = paths.diameter;
   m.avg_degree_centrality = mean_of(degree_centrality(undirected));
-  m.avg_closeness_centrality = mean_of(closeness_centrality(undirected));
-  m.avg_betweenness_centrality = mean_of(betweenness_centrality(undirected));
-  m.avg_load_centrality = mean_of(load_centrality(undirected));
+  m.avg_closeness_centrality = mean_of(paths.closeness);
+  m.avg_betweenness_centrality = mean_of(paths.betweenness);
+  m.avg_load_centrality = mean_of(paths.load);
 
   dm::util::Rng rng(options.sample_seed);
   m.avg_node_connectivity =
@@ -67,7 +69,7 @@ GraphMetrics compute_metrics(const Digraph& g, const MetricsOptions& options) {
     m.avg_degree_connectivity = s / static_cast<double>(adc.size());
   }
 
-  m.avg_k_nearest_neighbors = average_k_nearest_neighbors(undirected, options.knn_hops);
+  m.avg_k_nearest_neighbors = mean_of(paths.reach);
   m.avg_pagerank = mean_of(pagerank(directed));
   return m;
 }

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <memory>
 
+#include "util/hash.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
+#include "core/online.h"
 #include "core/wcg_builder.h"
+#include "synth/families.h"
 #include "synth/generator.h"
 
 namespace dm::core {
@@ -132,6 +139,67 @@ TEST(FeatureExtractionTest, InfectionVsBenignSeparation) {
   EXPECT_LT(infection_inter_txn, benign_inter_txn);  // faster
   EXPECT_GT(dm::util::median(infection_order),
             dm::util::median(benign_order));  // typically bigger graphs
+}
+
+/// Scores 0 and leaves feature extraction to the verdict tap.
+class ZeroScorer final : public WcgScorer {
+ public:
+  double score(const Wcg&, FeatureCache*) override { return 0.0; }
+};
+
+/// Feature bits of a WCG corpus: FNV-1a over the little-endian bytes of all
+/// 37 features of each WCG, the graph count and the largest order seen.
+struct FeatureDigest {
+  std::uint64_t hash = dm::util::fnv1a("");
+  std::size_t wcgs = 0;
+  std::size_t max_order = 0;
+
+  void add(const Wcg& wcg) {
+    for (double x : extract_features(wcg)) {
+      const auto bits = std::bit_cast<std::uint64_t>(x);
+      char bytes[sizeof bits];
+      for (std::size_t b = 0; b < sizeof bits; ++b) {
+        bytes[b] = static_cast<char>(bits >> (8 * b));
+      }
+      hash = dm::util::fnv1a_append(hash, std::string_view(bytes, sizeof bytes));
+    }
+    ++wcgs;
+    max_order = std::max(max_order, wcg.node_count());
+  }
+};
+
+TEST(FeatureExtractionTest, CatalogFeatureBitsMatchRecordedDigest) {
+  // Every feature bit of every verdict WCG of the first 300 catalog
+  // episodes at l=2 (no score reaches the threshold, so every clue's
+  // session is re-scored to its end), and of each episode's full WCG.  The
+  // digest was recorded before the graph metrics moved to one
+  // shortest-path sweep per source and one flow network per graph; it pins
+  // the connectivity, centrality and k-nearest features that the golden
+  // file leaves out.  The largest WCGs take connectivity's sampled branch
+  // (65 nodes or more).
+  const auto& catalog = dm::synth::trace_family_catalog();
+  ASSERT_EQ(catalog.size(), 18u);
+  // The engine is bound to a detector, but the stub scorer answers every
+  // query, so a forest with no trees serves.
+  const auto detector = std::make_shared<const Detector>(
+      dm::ml::RandomForest::assemble({}, dm::ml::ForestOptions{}));
+  FeatureDigest digest;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    const auto episode = dm::synth::episode_for_family(
+        dm::util::stream_seed(1, i), catalog[i % catalog.size()]);
+    OnlineOptions options;
+    options.redirect_chain_threshold = 2;
+    options.decision_threshold = 2.0;
+    options.scorer = std::make_shared<ZeroScorer>();
+    options.verdict_tap = [&digest](const Wcg& wcg, double, bool,
+                                    std::uint64_t) { digest.add(wcg); };
+    OnlineDetector engine(detector, options);
+    for (const auto& txn : episode.transactions) engine.observe(txn);
+    digest.add(build_wcg(episode.transactions));
+  }
+  EXPECT_EQ(digest.wcgs, 3984u);
+  EXPECT_GE(digest.max_order, 65u);
+  EXPECT_EQ(digest.hash, 16277075020150565607ULL);
 }
 
 }  // namespace

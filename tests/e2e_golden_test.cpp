@@ -39,9 +39,9 @@ std::string hexf(double value) {
   return buf;
 }
 
-/// The headline features asserted per episode: one from each Table II
-/// group — conversation size (HLF), longest redirect chain + betweenness
-/// summary (GF), content-type diversity (HF), duration (TF).
+/// The headline features asserted per episode, from each Table II group:
+/// Origin (HLF, f1), Order and Avg-In-Degree (GF, f7 and f13),
+/// Other-Methods (HF, f28) and Duration (TF, f36).
 constexpr std::size_t kHeadlineFeatures[] = {0, 6, 12, 27, 35};
 
 std::string scan_episode(const dm::core::Detector& detector,

@@ -114,7 +114,7 @@ TEST(DegreeConnectivityTest, StarHasTwoClasses) {
 TEST(KNearestNeighborsTest, PathAtTwoHops) {
   const auto adj = undirected(4, {{0, 1}, {1, 2}, {2, 3}});
   // Within 2 hops: node0->{1,2}=2, node1->{0,2,3}=3, node2->3, node3->2.
-  EXPECT_DOUBLE_EQ(average_k_nearest_neighbors(adj, 2), (2 + 3 + 3 + 2) / 4.0);
+  EXPECT_EQ(path_metrics(adj, 2).reach, (std::vector<std::uint32_t>{2, 3, 3, 2}));
 }
 
 TEST(ReciprocityTest, DirectedPairs) {
@@ -123,19 +123,19 @@ TEST(ReciprocityTest, DirectedPairs) {
   g.add_edge(1, 0);
   g.add_edge(1, 2);
   // 3 unique directed edges; 2 of them are reciprocated.
-  EXPECT_NEAR(reciprocity(g), 2.0 / 3.0, 1e-12);
+  EXPECT_NEAR(reciprocity(g.directed_adjacency()), 2.0 / 3.0, 1e-12);
 }
 
 TEST(ReciprocityTest, NoEdgesIsZero) {
   Digraph g(2);
-  EXPECT_EQ(reciprocity(g), 0.0);
+  EXPECT_EQ(reciprocity(g.directed_adjacency()), 0.0);
 }
 
 TEST(ReciprocityTest, FullyMutualIsOne) {
   Digraph g(2);
   g.add_edge(0, 1);
   g.add_edge(1, 0);
-  EXPECT_DOUBLE_EQ(reciprocity(g), 1.0);
+  EXPECT_DOUBLE_EQ(reciprocity(g.directed_adjacency()), 1.0);
 }
 
 class CompleteConnectivityTest : public ::testing::TestWithParam<std::size_t> {};

@@ -2,6 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include "malloc_probe.h"
+
+#ifdef DM_GLIBC_MALLOC
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+namespace {
+/// Calls of the replaceable operator new made by this test binary.
+std::atomic<std::size_t> g_news{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#endif
+
 namespace dm::graph {
 namespace {
 
@@ -72,6 +93,36 @@ TEST(GraphMetricsTest, ReciprocityDetected) {
   const auto m = compute_metrics(g);
   EXPECT_DOUBLE_EQ(m.reciprocity, 1.0);
 }
+
+#ifndef DM_GLIBC_MALLOC
+TEST(GraphMetricsCostTest, AllocationsDoNotGrowWithSampledPairs) {
+  GTEST_SKIP() << "counts operator new only over glibc's malloc";
+}
+#else
+TEST(GraphMetricsCostTest, AllocationsDoNotGrowWithSampledPairs) {
+  // The shape of a hostile session's WCG: a hub that reached 500 hosts, a
+  // short redirect chain off one of them, and a few chords between hosts.
+  // Its 127,765 node pairs put connectivity on its sampled branch at both
+  // budgets, so a per-pair allocation would show as a gap between them.
+  Digraph g(506);
+  for (NodeId leaf = 1; leaf <= 500; ++leaf) g.add_edge(0, leaf);
+  for (NodeId v = 500; v < 505; ++v) g.add_edge(v, v + 1);
+  for (NodeId v = 10; v <= 490; v += 10) g.add_edge(v, v + 1);
+  auto allocations = [&g](std::size_t pairs) {
+    MetricsOptions options;
+    options.connectivity_max_pairs = pairs;
+    const std::size_t before = g_news.load();
+    const auto m = compute_metrics(g, options);
+    const std::size_t after = g_news.load();
+    EXPECT_GT(m.avg_node_connectivity, 0.0);
+    return after - before;
+  };
+  const std::size_t at_500 = allocations(500);
+  const std::size_t at_2000 = allocations(2000);
+  EXPECT_GT(at_500, 0u);
+  EXPECT_EQ(at_500, at_2000);
+}
+#endif
 
 }  // namespace
 }  // namespace dm::graph

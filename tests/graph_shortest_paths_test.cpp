@@ -39,8 +39,8 @@ TEST(ShortestPathsTest, BfsUnreachableMarked) {
 
 TEST(ShortestPathsTest, EccentricityOnPath) {
   const auto adj = path_graph(5);
-  EXPECT_EQ(eccentricity(adj, 0), 4u);
-  EXPECT_EQ(eccentricity(adj, 2), 2u);
+  EXPECT_EQ(path_metrics(adj).eccentricity[0], 4u);
+  EXPECT_EQ(path_metrics(adj).eccentricity[2], 2u);
 }
 
 TEST(ShortestPathsTest, EccentricityIgnoresUnreachable) {
@@ -48,15 +48,15 @@ TEST(ShortestPathsTest, EccentricityIgnoresUnreachable) {
   adj[0].push_back(1);
   adj[1].push_back(0);
   // 2, 3 isolated
-  EXPECT_EQ(eccentricity(adj, 0), 1u);
-  EXPECT_EQ(eccentricity(adj, 2), 0u);
+  EXPECT_EQ(path_metrics(adj).eccentricity[0], 1u);
+  EXPECT_EQ(path_metrics(adj).eccentricity[2], 0u);
 }
 
 TEST(ShortestPathsTest, DiameterOfPathAndStar) {
-  EXPECT_EQ(diameter(path_graph(6)), 5u);
-  EXPECT_EQ(diameter(star_graph(4)), 2u);
-  EXPECT_EQ(diameter(Adjacency(1)), 0u);
-  EXPECT_EQ(diameter(Adjacency{}), 0u);
+  EXPECT_EQ(path_metrics(path_graph(6)).diameter, 5u);
+  EXPECT_EQ(path_metrics(star_graph(4)).diameter, 2u);
+  EXPECT_EQ(path_metrics(Adjacency(1)).diameter, 0u);
+  EXPECT_EQ(path_metrics(Adjacency{}).diameter, 0u);
 }
 
 TEST(ShortestPathsTest, ConnectedComponents) {
@@ -75,17 +75,17 @@ TEST(ShortestPathsTest, ConnectedComponents) {
 
 TEST(ShortestPathsTest, NodesWithinRadius) {
   const auto adj = path_graph(6);
-  EXPECT_EQ(nodes_within(adj, 0, 1), 1u);
-  EXPECT_EQ(nodes_within(adj, 0, 2), 2u);
-  EXPECT_EQ(nodes_within(adj, 2, 2), 4u);
-  EXPECT_EQ(nodes_within(adj, 0, 100), 5u);
+  EXPECT_EQ(path_metrics(adj, 1).reach[0], 1u);
+  EXPECT_EQ(path_metrics(adj, 2).reach[0], 2u);
+  EXPECT_EQ(path_metrics(adj, 2).reach[2], 4u);
+  EXPECT_EQ(path_metrics(adj, 100).reach[0], 5u);
 }
 
 class PathDiameterTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(PathDiameterTest, DiameterEqualsLengthMinusOne) {
   const std::size_t n = GetParam();
-  EXPECT_EQ(diameter(path_graph(n)), n - 1);
+  EXPECT_EQ(path_metrics(path_graph(n)).diameter, n - 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PathDiameterTest,
