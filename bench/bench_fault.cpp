@@ -58,7 +58,7 @@ const std::vector<std::uint8_t>& corrupted_bytes() {
 void BM_DecodeClean(benchmark::State& state) {
   const auto& bytes = clean_bytes();
   for (auto _ : state) {
-    const auto result = dm::net::decode_pcap(bytes);
+    const auto result = dm::net::decode_pcap_view(bytes);
     benchmark::DoNotOptimize(result.file.packets.size());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -71,7 +71,7 @@ void BM_DecodeCorrupted(benchmark::State& state) {
   std::uint64_t quarantined = 0;
   for (auto _ : state) {
     dm::util::FaultStats faults;
-    const auto result = dm::net::decode_pcap(bytes, {}, &faults);
+    const auto result = dm::net::decode_pcap_view(bytes, {}, &faults);
     benchmark::DoNotOptimize(result.file.packets.size());
     quarantined = faults.total();
   }
@@ -82,9 +82,9 @@ void BM_DecodeCorrupted(benchmark::State& state) {
 BENCHMARK(BM_DecodeCorrupted)->Unit(benchmark::kMillisecond);
 
 void BM_ReconstructClean(benchmark::State& state) {
-  const auto capture = dm::net::decode_pcap(clean_bytes()).file;
+  const auto decoded = dm::net::decode_pcap_view(clean_bytes());
   for (auto _ : state) {
-    const auto txns = dm::http::transactions_from_pcap(capture);
+    const auto txns = dm::http::transactions_from_pcap(decoded.file);
     benchmark::DoNotOptimize(txns.size());
   }
 }
@@ -94,7 +94,8 @@ void BM_ReconstructCorrupted(benchmark::State& state) {
   // Frame-level damage on top of the byte-level damage: undecodable
   // ethertypes and overlapping segments exercise the TCP/HTTP quarantine
   // paths, not just the pcap one.
-  auto capture = dm::net::decode_pcap(corrupted_bytes()).file;
+  auto capture = dm::faultinject::owning_copy(
+      dm::net::decode_pcap_view(corrupted_bytes()).file);
   dm::util::Rng rng(7);
   dm::faultinject::garble_ethertype(capture, 32, rng);
   dm::faultinject::overlap_segments(capture, 32, rng);

@@ -1,12 +1,12 @@
 // Million-session ingest bench (ISSUE 9): the two scaling walls of the
 // ingest path, measured with their correctness fences.
 //
-// Phase 1 — zero-copy pcap decode A/B.  The owning path reads the capture
-// into a heap buffer and copies every packet's bytes into its own vector;
-// the mmap path maps the file and hands reconstruction span slices of the
-// mapping (net/pcap_mmap.h).  Fence first: both paths must reconstruct the
-// IDENTICAL transaction stream; a speedup for a different answer is
-// worthless.  Ratio recorded in the --json record.
+// Phase 1 — capture file ingest.  The file reader maps the capture and
+// hands reconstruction span slices of the mapping (net/pcap_mmap.h).  Fence
+// first: it must reconstruct the IDENTICAL transaction stream (count and
+// order-sensitive digest) that in-memory reconstruction of the same bytes
+// gives (decode_pcap_view + transactions_from_pcap); a throughput for a
+// different answer is worthless.  Best-of-5 MB/s goes in the --json record.
 //
 // Phase 2 — budgeted session state at a million live sessions.  A stream of
 // 1.25M distinct clients fills the detector past a 1.05M-session budget;
@@ -22,10 +22,6 @@
 // at 1/2/8 shards) must produce the bit-identical alert set of the
 // unbounded sequential engine: a budget that never has to evict must be
 // invisible.
-//
-// Single-CPU caveat: on 1-hardware-thread containers the decode ratio
-// reflects copy/allocation avoidance only (no parallel overlap); the
-// caveat string is stamped into the JSON record when it applies.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -42,7 +38,6 @@
 #include "core/trainer.h"
 #include "http/transaction_stream.h"
 #include "net/pcap.h"
-#include "net/pcap_mmap.h"
 #include "runtime/sharded_online.h"
 #include "synth/families.h"
 #include "synth/generator.h"
@@ -65,10 +60,39 @@ std::shared_ptr<const dm::core::Detector> trained_detector() {
 
 // ---------------------------------------------------------------- phase 1
 
+/// A transaction stream's identity: its length and an order-sensitive
+/// digest (order is part of the fence).
+struct StreamId {
+  std::size_t transactions = 0;
+  std::size_t digest = 0;
+  friend bool operator==(const StreamId&, const StreamId&) = default;
+};
+
+StreamId stream_id(const std::vector<HttpTransaction>& txns) {
+  std::size_t h = txns.size();
+  const auto mix = [&h](std::size_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  };
+  for (const auto& t : txns) {
+    mix(std::hash<std::string>{}(t.client_host));
+    mix(std::hash<std::string>{}(t.server_host));
+    mix(std::hash<std::string>{}(t.request.uri));
+    mix(static_cast<std::size_t>(t.request.ts_micros));
+    mix(t.response ? static_cast<std::size_t>(t.response->status_code) : 0);
+  }
+  return {txns.size(), h};
+}
+
 /// One big capture file: `episodes` synth episodes' packets concatenated,
-/// time-ordered.  Returns the path (under the system temp dir) and size.
-std::pair<std::string, std::uint64_t> build_capture(std::uint64_t seed,
-                                                    std::size_t episodes) {
+/// time-ordered, written under the system temp dir.
+struct Capture {
+  std::string path;
+  std::uint64_t bytes = 0;
+  /// The stream in-memory reconstruction of the same bytes gives.
+  StreamId in_memory;
+};
+
+Capture build_capture(std::uint64_t seed, std::size_t episodes) {
   dm::synth::TraceGenerator gen(seed);
   const auto& families = dm::synth::exploit_kit_families();
   dm::net::PcapFile merged;
@@ -85,47 +109,16 @@ std::pair<std::string, std::uint64_t> build_capture(std::uint64_t seed,
                       const dm::net::PcapPacket& b) {
                      return a.ts_micros < b.ts_micros;
                    });
-  const std::string path =
+  Capture capture;
+  capture.path =
       (std::filesystem::temp_directory_path() / "bench_ingest_capture.pcap")
           .string();
-  dm::net::write_pcap_file(path, merged);
-  return {path, std::filesystem::file_size(path)};
-}
-
-/// Order-insensitive-free digest of a transaction stream (order matters and
-/// is part of the fence).
-std::size_t stream_digest(const std::vector<HttpTransaction>& txns) {
-  std::size_t h = txns.size();
-  const auto mix = [&h](std::size_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
-  for (const auto& t : txns) {
-    mix(std::hash<std::string>{}(t.client_host));
-    mix(std::hash<std::string>{}(t.server_host));
-    mix(std::hash<std::string>{}(t.request.uri));
-    mix(static_cast<std::size_t>(t.request.ts_micros));
-    mix(t.response ? static_cast<std::size_t>(t.response->status_code) : 0);
-  }
-  return h;
-}
-
-struct DecodeResult {
-  double best_mb_per_s = 0;
-  std::size_t transactions = 0;
-  std::size_t digest = 0;
-};
-
-/// Best-of-`reps` for one decode path, interleaving handled by the caller.
-template <typename Fn>
-void decode_rep(DecodeResult& r, std::uint64_t bytes, Fn&& decode) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto txns = decode();
-  const auto t1 = std::chrono::steady_clock::now();
-  const double s = std::chrono::duration<double>(t1 - t0).count();
-  r.best_mb_per_s =
-      std::max(r.best_mb_per_s, static_cast<double>(bytes) / 1e6 / s);
-  r.transactions = txns.size();
-  r.digest = stream_digest(txns);
+  dm::net::write_pcap_file(capture.path, merged);
+  const auto bytes = dm::net::write_pcap(merged);
+  capture.bytes = bytes.size();
+  capture.in_memory = stream_id(dm::http::transactions_from_pcap(
+      dm::net::decode_pcap_view(bytes).file));
+  return capture;
 }
 
 // ---------------------------------------------------------------- phase 2
@@ -240,47 +233,49 @@ int main(int argc, char** argv) {
   const double scale = dm::bench::scale_from_env(1.0);
   const std::uint64_t seed = dm::bench::seed_from_env();
   dm::bench::print_header(
-      "bench_ingest: zero-copy decode + million-session budgeted state",
+      "bench_ingest: capture file ingest + million-session budgeted state",
       scale, seed);
   if (json_path && !dm::bench::check_baseline_hardware(*json_path)) return 1;
 
-  // --- phase 1: zero-copy decode A/B --------------------------------------
+  // --- phase 1: capture file ingest ---------------------------------------
   const std::size_t episodes =
       std::max<std::size_t>(64, static_cast<std::size_t>(1536 * scale));
-  const auto [capture_path, capture_bytes] = build_capture(seed, episodes);
+  const Capture capture = build_capture(seed, episodes);
   std::printf("capture: %zu episodes, %.1f MB at %s\n", episodes,
-              static_cast<double>(capture_bytes) / 1e6, capture_path.c_str());
-
-  DecodeResult owning, mmapped;
-  constexpr int kDecodeReps = 5;
-  for (int rep = 0; rep < kDecodeReps; ++rep) {
-    // Interleaved round-robin: scheduler drift on 1-core containers hits
-    // both arms alike.
-    decode_rep(owning, capture_bytes, [&] {
-      return dm::http::transactions_from_pcap_file(capture_path);
-    });
-    decode_rep(mmapped, capture_bytes, [&] {
-      return dm::http::transactions_from_pcap_file_mmap(capture_path);
-    });
-  }
-  std::filesystem::remove(capture_path);
-
-  if (owning.transactions != mmapped.transactions ||
-      owning.digest != mmapped.digest) {
-    std::fprintf(stderr,
-                 "FATAL: mmap decode reconstructed a different transaction "
-                 "stream (%zu vs %zu txns, digest %zx vs %zx)\n",
-                 mmapped.transactions, owning.transactions, mmapped.digest,
-                 owning.digest);
+              static_cast<double>(capture.bytes) / 1e6, capture.path.c_str());
+  if (capture.in_memory.transactions == 0) {
+    std::fprintf(stderr, "FATAL: the capture reconstructs no transaction — "
+                         "the stream-identity fence would be vacuous\n");
     return 1;
   }
-  const double decode_ratio = mmapped.best_mb_per_s / owning.best_mb_per_s;
-  std::printf("decode (best of %d):\n", kDecodeReps);
-  std::printf("  owning copy  %8.1f MB/s  (%zu transactions)\n",
-              owning.best_mb_per_s, owning.transactions);
-  std::printf("  mmap view    %8.1f MB/s\n", mmapped.best_mb_per_s);
-  std::printf("  ratio        %8.2fx  (identical streams verified)\n\n",
-              decode_ratio);
+
+  constexpr int kDecodeReps = 5;
+  double best_mb_per_s = 0;
+  StreamId from_file;
+  for (int rep = 0; rep < kDecodeReps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto txns = dm::http::transactions_from_pcap_file(capture.path);
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    best_mb_per_s =
+        std::max(best_mb_per_s, static_cast<double>(capture.bytes) / 1e6 / s);
+    from_file = stream_id(txns);
+  }
+  std::filesystem::remove(capture.path);
+
+  if (!(from_file == capture.in_memory)) {
+    std::fprintf(stderr,
+                 "FATAL: the file reader reconstructed a different transaction "
+                 "stream than in-memory reconstruction of the same bytes (%zu "
+                 "vs %zu txns, digest %zx vs %zx)\n",
+                 from_file.transactions, capture.in_memory.transactions,
+                 from_file.digest, capture.in_memory.digest);
+    return 1;
+  }
+  std::printf("file reader (best of %d): %8.1f MB/s  (%zu transactions, "
+              "identical to in-memory reconstruction)\n\n",
+              kDecodeReps, best_mb_per_s, from_file.transactions);
 
   // --- phase 2: million-session fill under budget -------------------------
   const std::size_t total =
@@ -395,21 +390,13 @@ int main(int argc, char** argv) {
               "(%zu alerts, score bits included)\n",
               reference.size());
 
-  const bool single_cpu = std::thread::hardware_concurrency() <= 1;
-  if (single_cpu) {
-    std::printf("\nnote: 1 hardware thread — decode ratio reflects "
-                "copy/allocation avoidance only, no parallel overlap\n");
-  }
-
   if (json_path) {
     dm::bench::JsonRecord record;
     record.set("bench", "bench_ingest");
-    record.set("capture_mb", static_cast<double>(capture_bytes) / 1e6);
-    record.set("decode_owning_mb_per_s", owning.best_mb_per_s);
-    record.set("decode_mmap_mb_per_s", mmapped.best_mb_per_s);
-    record.set("decode_ratio", decode_ratio);
+    record.set("capture_mb", static_cast<double>(capture.bytes) / 1e6);
+    record.set("decode_mmap_mb_per_s", best_mb_per_s);
     record.set("decode_transactions",
-               static_cast<std::uint64_t>(owning.transactions));
+               static_cast<std::uint64_t>(from_file.transactions));
     record.set("fill_clients", static_cast<std::uint64_t>(total));
     record.set("session_budget", static_cast<std::uint64_t>(budget_sessions));
     record.set("resident_peak", static_cast<std::uint64_t>(resident_peak));
@@ -422,10 +409,6 @@ int main(int argc, char** argv) {
     record.set("rss_at_end_bytes", rss_at_end);
     record.set("rss_flat_ratio", rss_flat_ratio);
     record.set("fence_alerts", static_cast<std::uint64_t>(reference.size()));
-    if (single_cpu) {
-      record.set("caveat", "1 hardware thread: decode ratio reflects "
-                           "copy/allocation avoidance only");
-    }
     if (record.append_to(*json_path)) {
       std::printf("result record appended to %s\n", json_path->c_str());
     } else {

@@ -47,9 +47,9 @@ void BM_PcapParse(benchmark::State& state) {
   const auto bytes = dm::net::write_pcap(sample_capture());
   std::size_t processed = 0;
   for (auto _ : state) {
-    const auto parsed = dm::net::read_pcap(bytes);
+    const auto parsed = dm::net::decode_pcap_view(bytes);
     processed += bytes.size();
-    benchmark::DoNotOptimize(parsed.packets.data());
+    benchmark::DoNotOptimize(parsed.file.packets.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(processed));
 }

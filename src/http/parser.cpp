@@ -343,15 +343,6 @@ ResponseParseResult parse_responses_ex(const dm::net::DirectionStream& stream,
   return out;
 }
 
-std::vector<HttpRequest> parse_requests(const dm::net::DirectionStream& stream) {
-  return parse_requests_ex(stream).requests;
-}
-
-std::vector<HttpResponse> parse_responses(const dm::net::DirectionStream& stream,
-                                          bool connection_closed) {
-  return parse_responses_ex(stream, connection_closed).responses;
-}
-
 std::vector<HttpTransaction> transactions_from_flow(
     const dm::net::TcpFlow& flow, dm::util::FaultStats* faults) {
   auto requests = parse_requests_ex(flow.client_to_server, faults).requests;

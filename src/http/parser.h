@@ -49,11 +49,6 @@ ResponseParseResult parse_responses_ex(const dm::net::DirectionStream& stream,
                                        bool connection_closed,
                                        dm::util::FaultStats* faults = nullptr);
 
-/// Convenience wrappers returning just the messages.
-std::vector<HttpRequest> parse_requests(const dm::net::DirectionStream& stream);
-std::vector<HttpResponse> parse_responses(const dm::net::DirectionStream& stream,
-                                          bool connection_closed);
-
 /// Full flow -> paired transactions, with endpoint metadata filled in.
 /// Quarantined parse faults are counted into `faults` when given.
 std::vector<HttpTransaction> transactions_from_flow(

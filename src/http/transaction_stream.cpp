@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -20,8 +21,8 @@ namespace {
 /// Decode runs before sessionization, so its trace events are process-scope
 /// (session 0); per-flow parse spans carry fnv1a(client) in `arg` instead,
 /// which is how the trace-reconstruction fence links an alert back to the
-/// flow that fed it.  A nested install (the pcap-file wrappers install one
-/// around transactions_from_pcap's own) chains parents instead of stacking.
+/// flow that fed it.  A nested install (the file reader installs one around
+/// transactions_from_pcap's own) chains parents instead of stacking.
 std::optional<dm::obs::TraceContext> decode_trace_context() {
   auto& sink = dm::obs::trace_sink();
   if (!sink.enabled()) return std::nullopt;
@@ -35,7 +36,7 @@ std::optional<dm::obs::TraceContext> decode_trace_context() {
 
 /// One flow's packets as pass 1 groups them.
 struct FlowPackets {
-  // The flow's first-packet sender, TcpReassembler's client.
+  // TcpReassembler's client (net::first_sender_is_client).
   dm::net::Ipv4Address client_ip;
   std::uint16_t client_port = 0;
   bool client_sent_last = false;  // the flow's last data segment was the client's
@@ -73,7 +74,7 @@ void order_by_request_time(std::vector<HttpTransaction>& txns) {
 
 /// Shared reconstruction over any capture whose packets expose ts_micros +
 /// data (owned PcapFile or zero-copy PcapFileView).  One implementation
-/// keeps the copying and mmap pipelines semantically identical — the
+/// keeps the in-memory and file paths semantically identical — the
 /// differential fence in net_pcap_mmap_test leans on that.
 ///
 /// Flow at a time, so a flow's reassembled bytes are freed before the next
@@ -116,7 +117,12 @@ std::vector<HttpTransaction> reconstruct_transactions(
         dm::net::FlowKey::canonical(pkt->src_ip, pkt->src_port, pkt->dst_ip,
                                     pkt->dst_port),
         flows.size());
-    if (inserted) flows.push_back({pkt->src_ip, pkt->src_port, false, {}});
+    if (inserted) {
+      const bool sender_is_client = dm::net::first_sender_is_client(*pkt);
+      flows.push_back(
+          {sender_is_client ? pkt->src_ip : pkt->dst_ip,
+           sender_is_client ? pkt->src_port : pkt->dst_port, false, {}});
+    }
     FlowPackets& flow = flows[it->second];
     flow.packets.push_back(i);
     if (!pkt->payload.empty()) {
@@ -181,34 +187,7 @@ std::vector<HttpTransaction> transactions_from_pcap(
   return reconstruct_transactions(capture, faults);
 }
 
-std::vector<HttpTransaction> transactions_from_pcap_file(const std::string& path) {
-  auto tctx = decode_trace_context();
-  dm::obs::TraceContextGuard tguard(tctx ? &*tctx : nullptr);
-  auto span = dm::obs::StageTimer{}.span(
-      dm::obs::pipeline_metrics().stage_pcap_decode_ns);
-  dm::obs::ScopedTraceSpan tspan(dm::obs::TraceOp::kPcapDecode);
-  auto capture = dm::net::read_pcap_file(path);
-  tspan.set_arg(capture.packets.size());
-  tspan.end();
-  span.stop();
-  return transactions_from_pcap(capture);
-}
-
 std::vector<HttpTransaction> transactions_from_pcap_file(
-    const std::string& path, dm::util::FaultStats* faults) {
-  auto tctx = decode_trace_context();
-  dm::obs::TraceContextGuard tguard(tctx ? &*tctx : nullptr);
-  auto span = dm::obs::StageTimer{}.span(
-      dm::obs::pipeline_metrics().stage_pcap_decode_ns);
-  dm::obs::ScopedTraceSpan tspan(dm::obs::TraceOp::kPcapDecode);
-  const auto decoded = dm::net::decode_pcap_file(path, {}, faults);
-  tspan.set_arg(decoded.file.packets.size());
-  tspan.end();
-  span.stop();
-  return transactions_from_pcap(decoded.file, faults);
-}
-
-std::vector<HttpTransaction> transactions_from_pcap_file_mmap(
     const std::string& path, dm::util::FaultStats* faults) {
   auto tctx = decode_trace_context();
   dm::obs::TraceContextGuard tguard(tctx ? &*tctx : nullptr);
@@ -217,10 +196,14 @@ std::vector<HttpTransaction> transactions_from_pcap_file_mmap(
   dm::obs::ScopedTraceSpan tspan(dm::obs::TraceOp::kPcapDecode);
   // Map + decode views in place: packet bytes stay in the page cache, the
   // decode stage only materializes 16-byte views per record.
-  dm::net::MappedPcap capture(path, {}, faults);
+  const dm::net::MappedPcap capture(path, {}, faults);
   tspan.set_arg(capture.file().packets.size());
   tspan.end();
   span.stop();
+  if (capture.result().fatal && faults == nullptr) {
+    throw std::runtime_error("pcap: " +
+                             capture.result().errors.front().to_string());
+  }
   // Reconstruction copies flow payloads into owned transactions, so the
   // mapping (local to this frame) can be dropped at return — no slice
   // escapes it.

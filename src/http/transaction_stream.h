@@ -7,6 +7,7 @@
 // util::FaultStats while every salvageable transaction still comes out.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "http/message.h"
@@ -33,20 +34,14 @@ std::vector<HttpTransaction> transactions_from_pcap(
     const dm::net::PcapFileView& capture,
     dm::util::FaultStats* faults = nullptr);
 
-/// Convenience file-path overload (throws on I/O error).  With `faults`,
-/// capture-file decode faults are quarantined and counted instead of
-/// thrown; without, a fatally-malformed capture header still throws
-/// (legacy read_pcap_file semantics).
+/// Reconstructs every HTTP transaction in a capture file.  The file is
+/// mapped (or read, when it cannot be mapped: see MappedFile), decoded as
+/// views in place, reconstructed, and released before this returns
+/// (DESIGN.md §15 lifetime rule).  Throws std::runtime_error on an I/O
+/// error, and on an unusable global header when `faults` is null; with
+/// `faults`, that header is counted and the stream is empty.  Every other
+/// decode fault is quarantined.
 std::vector<HttpTransaction> transactions_from_pcap_file(
-    const std::string& path);
-std::vector<HttpTransaction> transactions_from_pcap_file(
-    const std::string& path, dm::util::FaultStats* faults);
-
-/// mmap-backed zero-copy file path: maps the capture, decodes views in
-/// place, reconstructs, and drops the mapping before returning (DESIGN.md
-/// §15 lifetime rule).  Fault semantics match the faults-taking
-/// transactions_from_pcap_file; throws only on I/O/mapping errors.
-std::vector<HttpTransaction> transactions_from_pcap_file_mmap(
     const std::string& path, dm::util::FaultStats* faults = nullptr);
 
 }  // namespace dm::http

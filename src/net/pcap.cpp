@@ -189,7 +189,7 @@ PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
       return result;
     }
     // Zero-copy: the packet is a slice of the input buffer, not an owned
-    // copy.  decode_pcap() below deep-copies for callers that need ownership.
+    // copy.
     result.file.packets.push_back(
         {ts_micros, std::span<const std::uint8_t>(r.cursor(), incl_len)});
     r.skip(incl_len);
@@ -210,45 +210,15 @@ PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
   return result;
 }
 
-PcapDecodeResult decode_pcap(std::span<const std::uint8_t> bytes,
-                             const PcapDecodeOptions& options,
-                             dm::util::FaultStats* faults) {
-  // One parser: decode as views, then deep-copy into owned buffers.  Any
-  // future parsing change lands in decode_pcap_view and both readers see it.
-  PcapViewDecodeResult views = decode_pcap_view(bytes, options, faults);
-  PcapDecodeResult result;
-  result.file.link_type = views.file.link_type;
-  result.file.packets.reserve(views.file.packets.size());
-  for (const auto& pkt : views.file.packets) {
-    result.file.packets.push_back(
-        {pkt.ts_micros,
-         std::vector<std::uint8_t>(pkt.data.begin(), pkt.data.end())});
-  }
-  result.quarantined.reserve(views.quarantined.size());
-  for (const auto& pkt : views.quarantined) {
-    result.quarantined.push_back(
-        {pkt.ts_micros,
-         std::vector<std::uint8_t>(pkt.data.begin(), pkt.data.end())});
-  }
-  result.errors = std::move(views.errors);
-  result.truncated_tail = views.truncated_tail;
-  result.fatal = views.fatal;
-  return result;
-}
-
-PcapFile quarantine_capture(const PcapDecodeResult& result) {
+PcapFile quarantine_capture(const PcapViewDecodeResult& result) {
   PcapFile capture;
   capture.link_type = result.file.link_type;
-  capture.packets = result.quarantined;
-  return capture;
-}
-
-PcapFile read_pcap(const std::vector<std::uint8_t>& bytes) {
-  PcapDecodeResult result = decode_pcap(bytes);
-  if (result.fatal) {
-    throw std::runtime_error("pcap: " + result.errors.front().to_string());
+  capture.packets.reserve(result.quarantined.size());
+  for (const auto& pkt : result.quarantined) {
+    capture.packets.push_back(
+        {pkt.ts_micros, {pkt.data.begin(), pkt.data.end()}});
   }
-  return std::move(result.file);
+  return capture;
 }
 
 void write_pcap_file(const std::string& path, const PcapFile& file) {
@@ -258,24 +228,6 @@ void write_pcap_file(const std::string& path, const PcapFile& file) {
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   if (!out) throw std::runtime_error("pcap: write failed: " + path);
-}
-
-PcapFile read_pcap_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("pcap: cannot open for read: " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return read_pcap(bytes);
-}
-
-PcapDecodeResult decode_pcap_file(const std::string& path,
-                                  const PcapDecodeOptions& options,
-                                  dm::util::FaultStats* faults) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("pcap: cannot open for read: " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  return decode_pcap(bytes, options, faults);
 }
 
 }  // namespace dm::net

@@ -8,13 +8,15 @@
 // offline analytics stage (which READS them back through full TCP/HTTP
 // reconstruction), mirroring the paper's PCAP-driven Stage 1.
 //
-// Decoding is fault-tolerant: decode_pcap() never throws on malformed
+// There is one decoder, decode_pcap_view(): its packets are slices of the
+// caller's bytes, and files reach it only through MappedPcap
+// (pcap_mmap.h).  Decoding is fault-tolerant and never throws on malformed
 // bytes.  A bad record is quarantined — described by a util::DecodeError,
 // counted in util::FaultStats, optionally retained for a forensic
 // quarantine capture — and iteration continues with whatever can still be
-// salvaged.  Only file-level I/O keeps throwing (read_pcap_file /
-// write_pcap_file), per the repo convention: exceptions for environment
-// errors, structured errors for wire data.
+// salvaged.  Only file-level I/O throws (MappedFile / write_pcap_file),
+// per the repo convention: exceptions for environment errors, structured
+// errors for wire data.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +35,8 @@ struct PcapPacket {
   std::vector<std::uint8_t> data;
 };
 
-/// A parsed capture file.
+/// A capture that owns its packets: what write_pcap serializes, what the
+/// trace generator builds and what quarantine_capture copies out.
 struct PcapFile {
   std::uint32_t link_type = 1;  // DLT_EN10MB
   std::vector<PcapPacket> packets;
@@ -62,42 +65,28 @@ struct PcapDecodeOptions {
   /// length fields (quarantined, iteration stops — a broken length prefix
   /// makes the rest of the byte stream unaddressable).
   std::size_t max_record_bytes = 16 * 1024 * 1024;
-  /// Retain the raw bytes of quarantined records in
-  /// PcapDecodeResult::quarantined so they can be re-wrapped into a
+  /// Retain slices of quarantined records in
+  /// PcapViewDecodeResult::quarantined so they can be re-wrapped into a
   /// forensic capture (quarantine_capture()).
   bool keep_quarantined = false;
 };
 
 /// Outcome of a best-effort decode: the salvaged packets plus a precise
-/// account of everything that was quarantined.
-struct PcapDecodeResult {
-  PcapFile file;
-  /// One entry per quarantined fault, in input order.
-  std::vector<dm::util::DecodeError> errors;
-  /// Raw bytes of quarantined records (only with keep_quarantined); the
-  /// timestamp is the record's own if its header was readable.
-  std::vector<PcapPacket> quarantined;
-  /// The capture ended mid-record: the salvaged prefix is complete but the
-  /// final record was cut (satellite of the §V-B robustness requirement —
-  /// a truncated tail must not discard the parsed prefix).
-  bool truncated_tail = false;
-  /// The global header was unusable (bad magic / too short): nothing could
-  /// be decoded at all.
-  bool fatal = false;
-};
-
-/// Zero-copy variant: packets (and quarantined records) are spans into
-/// `bytes`.  Every other decode entry point is a wrapper over this one, so
-/// the copying and zero-copy paths can never diverge on parsing semantics —
-/// the owning reader stays usable as the differential fence for the mmap
-/// path (net_pcap_mmap_test).
+/// account of everything that was quarantined.  Packets and quarantined
+/// records are spans into the decoded bytes.
 struct PcapViewDecodeResult {
   PcapFileView file;
   /// One entry per quarantined fault, in input order.
   std::vector<dm::util::DecodeError> errors;
-  /// Slices of quarantined records (only with keep_quarantined).
+  /// Slices of quarantined records (only with keep_quarantined); the
+  /// timestamp is the record's own if its header was readable.
   std::vector<PcapPacketView> quarantined;
+  /// The capture ended mid-record: the salvaged prefix is complete but the
+  /// final record was cut (a truncated tail must not discard the parsed
+  /// prefix).
   bool truncated_tail = false;
+  /// The global header was unusable (bad magic / too short): nothing could
+  /// be decoded at all.
   bool fatal = false;
 };
 
@@ -110,29 +99,12 @@ PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
                                       const PcapDecodeOptions& options = {},
                                       dm::util::FaultStats* faults = nullptr);
 
-/// Best-effort decode.  Never throws on malformed input; every fault is
-/// appended to `errors` and (when given) counted in `faults`.
-PcapDecodeResult decode_pcap(std::span<const std::uint8_t> bytes,
-                             const PcapDecodeOptions& options = {},
-                             dm::util::FaultStats* faults = nullptr);
+/// Copies the quarantined records of a decode into a capture of their own
+/// (forensic dump; write with write_pcap / write_pcap_file).  The copy
+/// owns its bytes, so it outlives the decoded buffer.
+PcapFile quarantine_capture(const PcapViewDecodeResult& result);
 
-/// Re-wraps the quarantined records of a decode into a capture of their own
-/// (forensic dump; write with write_pcap / write_pcap_file).
-PcapFile quarantine_capture(const PcapDecodeResult& result);
-
-/// Legacy strict reader.  Throws std::runtime_error only on a fatal header
-/// fault (bad magic, truncated global header); malformed records are
-/// quarantined silently and the salvaged prefix is returned.
-PcapFile read_pcap(const std::vector<std::uint8_t>& bytes);
-
-/// File-system convenience wrappers.  Throw std::runtime_error on I/O error.
+/// Writes `file` to `path`.  Throws std::runtime_error on I/O error.
 void write_pcap_file(const std::string& path, const PcapFile& file);
-PcapFile read_pcap_file(const std::string& path);
-
-/// Reads a capture file fault-tolerantly: throws only on I/O errors; decode
-/// faults are quarantined into the result / `faults`.
-PcapDecodeResult decode_pcap_file(const std::string& path,
-                                  const PcapDecodeOptions& options = {},
-                                  dm::util::FaultStats* faults = nullptr);
 
 }  // namespace dm::net

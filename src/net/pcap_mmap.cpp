@@ -1,32 +1,42 @@
 #include "net/pcap_mmap.h"
 
-#include <fstream>
-#include <stdexcept>
-#include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DM_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define DM_HAVE_MMAP 0
-#endif
+
+#include <algorithm>
+#include <cerrno>
+#include <stdexcept>
+#include <utility>
 
 namespace dm::net {
 namespace {
 
-std::vector<std::uint8_t> read_whole_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("pcap: cannot open for read: " + path);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+/// Reads `fd` from its current offset to its end into `out`, starting with
+/// room for `capacity` bytes and doubling it while the reads fill it.
+/// False on a read error.
+bool read_to_end(int fd, std::size_t capacity, std::vector<std::uint8_t>& out) {
+  out.resize(std::max<std::size_t>(capacity, 1));
+  std::size_t used = 0;
+  for (;;) {
+    if (used == out.size()) out.resize(2 * out.size());
+    const ssize_t n = ::read(fd, out.data() + used, out.size() - used);
+    if (n > 0) {
+      used += static_cast<std::size_t>(n);
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      return false;
+    }
+  }
+  out.resize(used);
+  return true;
 }
 
 }  // namespace
 
 MappedFile::MappedFile(const std::string& path) {
-#if DM_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) throw std::runtime_error("pcap: cannot open for read: " + path);
   struct stat st {};
@@ -34,27 +44,29 @@ MappedFile::MappedFile(const std::string& path) {
     ::close(fd);
     throw std::runtime_error("pcap: cannot stat: " + path);
   }
+  const bool regular = S_ISREG(st.st_mode);
   const auto file_size = static_cast<std::size_t>(st.st_size);
-  if (file_size == 0) {
-    // mmap rejects zero-length mappings; an empty capture is just an empty
-    // span (the decoder quarantines it as a truncated global header).
-    ::close(fd);
-    return;
-  }
-  void* map = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping keeps its own reference to the file
-  if (map != MAP_FAILED) {
+  if (regular && file_size > 0) {
+    void* map = ::mmap(nullptr, file_size, PROT_READ, MAP_PRIVATE, fd, 0);
+    if (map != MAP_FAILED) {
+      ::close(fd);  // the mapping keeps its own reference to the file
 #if defined(POSIX_MADV_SEQUENTIAL)
-    ::posix_madvise(map, file_size, POSIX_MADV_SEQUENTIAL);
+      ::posix_madvise(map, file_size, POSIX_MADV_SEQUENTIAL);
 #endif
-    data_ = static_cast<const std::uint8_t*>(map);
-    size_ = file_size;
-    mapped_ = true;
-    return;
+      data_ = static_cast<const std::uint8_t*>(map);
+      size_ = file_size;
+      mapped_ = true;
+      return;
+    }
   }
-  // mmap can fail on exotic filesystems; fall through to the owned buffer.
-#endif
-  fallback_ = read_whole_file(path);
+  // A pipe, FIFO or device has no size to map, mmap rejects an empty file,
+  // and it can fail on exotic filesystems: read what the descriptor gives.
+  // A regular file's buffer starts one byte past its size, so the read that
+  // meets its end needs no growth.
+  const bool read_ok =
+      read_to_end(fd, regular ? file_size + 1 : 64 * 1024, fallback_);
+  ::close(fd);
+  if (!read_ok) throw std::runtime_error("pcap: read failed: " + path);
   data_ = fallback_.data();
   size_ = fallback_.size();
 }
@@ -62,11 +74,9 @@ MappedFile::MappedFile(const std::string& path) {
 MappedFile::~MappedFile() { reset(); }
 
 void MappedFile::reset() noexcept {
-#if DM_HAVE_MMAP
   if (mapped_ && data_ != nullptr) {
     ::munmap(const_cast<std::uint8_t*>(data_), size_);
   }
-#endif
   data_ = nullptr;
   size_ = 0;
   mapped_ = false;

@@ -8,11 +8,12 @@
 // pattern (the only one the pipelines use) is: decode, reconstruct
 // transactions (HttpTransaction owns all of its strings), drop the mapping.
 //
-// Per the repo convention, opening/mapping a file throws on I/O error;
-// malformed capture *bytes* never throw — they quarantine through the
-// shared view decoder.  On platforms without mmap (or when mmap fails, e.g.
-// on a pipe), MappedFile silently falls back to reading the file into an
-// owned buffer: callers get the same span-of-bytes interface either way.
+// Per the repo convention, opening or reading a file throws on I/O error;
+// malformed capture *bytes* never throw — they quarantine through the view
+// decoder.  MappedFile maps only a regular file of nonzero size.  Anything
+// else (a pipe, a FIFO, a device, an empty file) and a failed mmap are read
+// to their end from the descriptor already opened, into an owned buffer:
+// callers get the same span-of-bytes interface either way.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +27,7 @@
 namespace dm::net {
 
 /// Read-only file mapping (move-only RAII).  Throws std::runtime_error on
-/// open/stat/read failure; falls back to an owned read buffer if mmap
-/// itself is unavailable.
+/// open/stat/read failure; reads into an owned buffer what it cannot map.
 class MappedFile {
  public:
   explicit MappedFile(const std::string& path);
@@ -42,8 +42,8 @@ class MappedFile {
     return {data_, size_};
   }
   std::size_t size() const noexcept { return size_; }
-  /// False when the mmap fallback engaged and bytes() points at an owned
-  /// heap buffer instead of a mapping (behaviourally identical, just copies).
+  /// False when bytes() points at an owned buffer read from the descriptor
+  /// instead of a mapping (behaviourally identical, just copies).
   bool mapped() const noexcept { return mapped_; }
 
  private:

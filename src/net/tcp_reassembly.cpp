@@ -1,6 +1,7 @@
 #include "net/tcp_reassembly.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/hash.h"
 #include "util/rate_limit.h"
@@ -48,11 +49,14 @@ void TcpReassembler::ingest(const ParsedPacket& pkt, std::uint64_t ts_micros) {
   auto it = flows_.find(key);
   if (it == flows_.end()) {
     FlowState state;
-    // Prefer the SYN sender as client; otherwise whoever spoke first.
     state.flow.client_ip = pkt.src_ip;
     state.flow.client_port = pkt.src_port;
     state.flow.server_ip = pkt.dst_ip;
     state.flow.server_port = pkt.dst_port;
+    if (!first_sender_is_client(pkt)) {
+      std::swap(state.flow.client_ip, state.flow.server_ip);
+      std::swap(state.flow.client_port, state.flow.server_port);
+    }
     state.flow.first_ts_micros = ts_micros;
     it = flows_.emplace(key, std::move(state)).first;
     flow_order_.push_back(key);

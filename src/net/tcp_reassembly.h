@@ -62,7 +62,7 @@ struct DirectionStream {
 
 /// One reassembled TCP connection.
 struct TcpFlow {
-  Ipv4Address client_ip;   // initiator (SYN sender, or first packet seen)
+  Ipv4Address client_ip;   // initiator: see first_sender_is_client
   std::uint16_t client_port = 0;
   Ipv4Address server_ip;
   std::uint16_t server_port = 0;
@@ -73,6 +73,14 @@ struct TcpFlow {
   bool saw_syn = false;
   bool closed = false;  // FIN or RST observed from either side
 };
+
+/// Names a flow's client from the flow's first captured packet: its sender,
+/// unless it is a SYN-ACK, whose receiver sent the SYN the capture began
+/// after.  TcpReassembler and the run count of http::transactions_from_pcap
+/// share this rule, so that count's reservation stays exact.
+inline bool first_sender_is_client(const ParsedPacket& first) noexcept {
+  return !(first.flags.syn && first.flags.ack);
+}
 
 /// Robustness limits for adversarial streams.  The defaults are far above
 /// anything well-formed traffic produces; hitting one is a quarantine event.

@@ -72,8 +72,7 @@ IngestResult detect_pcap_files(
           // Zero-copy reconstruction: each task maps its capture, decodes
           // views in place, and drops the mapping with the task — only the
           // owned transactions cross into the merge.
-          per_file[i] =
-              dm::http::transactions_from_pcap_file_mmap(paths[i], &faults);
+          per_file[i] = dm::http::transactions_from_pcap_file(paths[i], &faults);
         } catch (const std::exception& e) {
           errors[i] = e.what();
           span.cancel();  // I/O failure, not a reconstruction latency

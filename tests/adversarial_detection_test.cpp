@@ -201,7 +201,7 @@ TEST(AdversarialFaultTest, TruncatedTailQuarantinesExactlyOnce) {
     dm::util::Rng rng(seed++);
     ASSERT_EQ(dm::faultinject::truncate_final_record(bytes, rng), 1u) << family;
     FaultStats faults;
-    const auto result = dm::net::decode_pcap(bytes, {}, &faults);
+    const auto result = dm::net::decode_pcap_view(bytes, {}, &faults);
     EXPECT_FALSE(result.fatal) << family;
     EXPECT_TRUE(result.truncated_tail) << family;
     EXPECT_EQ(faults.count(DecodeErrorCode::kPcapTruncatedRecord), 1u)
@@ -218,7 +218,7 @@ TEST(AdversarialFaultTest, RandomCorruptionNeverCrashesAndAccountsEveryError) {
     dm::util::Rng rng(seed++);
     dm::faultinject::corrupt_random_bytes(bytes, 60, rng);
     FaultStats faults;
-    const auto result = dm::net::decode_pcap(bytes, {}, &faults);
+    const auto result = dm::net::decode_pcap_view(bytes, {}, &faults);
     EXPECT_EQ(faults.total(), result.errors.size()) << family;
     // Whatever survived decode must flow through reassembly + HTTP without
     // crashing.

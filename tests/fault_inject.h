@@ -6,7 +6,7 @@
 // Two families:
 //  * byte-level mutators over serialized pcap bytes (pcap-layer faults:
 //    corruption, truncation, broken length prefixes, cut record headers),
-//  * frame-level mutators over a decoded net::PcapFile (frame/TCP-layer
+//  * frame-level mutators over an owning net::PcapFile (frame/TCP-layer
 //    faults: undecodable ethertype, duplicate and overlapping segments,
 //    record reorder, mid-stream EOF).
 #pragma once
@@ -133,6 +133,19 @@ inline std::size_t cut_record_header(std::vector<std::uint8_t>& bytes,
 // ---------------------------------------------------------------------------
 // Frame-level mutators (operate on a decoded capture).
 // ---------------------------------------------------------------------------
+
+/// An owning copy of decoded packets, for the frame-level mutators below to
+/// edit (decode_pcap_view's packets are read-only slices of its input).
+inline dm::net::PcapFile owning_copy(const dm::net::PcapFileView& view) {
+  dm::net::PcapFile capture;
+  capture.link_type = view.link_type;
+  capture.packets.reserve(view.packets.size());
+  for (const auto& pkt : view.packets) {
+    capture.packets.push_back(
+        {pkt.ts_micros, {pkt.data.begin(), pkt.data.end()}});
+  }
+  return capture;
+}
 
 /// Offset of the TCP sequence-number field inside an Ethernet/IPv4/TCP
 /// frame, or 0 if the frame does not decode as one.

@@ -35,7 +35,7 @@ TEST_P(HttpMutationTest, MutatedRequestsNeverCrash) {
           rng.uniform_int(0, static_cast<std::int64_t>(text.size()) - 1));
       text[at] = static_cast<char>(rng.uniform_int(0, 255));
     }
-    const auto requests = parse_requests(stream_of(text));
+    const auto requests = parse_requests_ex(stream_of(text)).requests;
     for (const auto& req : requests) {
       EXPECT_FALSE(req.method.empty());
       EXPECT_LE(req.body.size(), text.size());
@@ -48,7 +48,8 @@ TEST_P(HttpMutationTest, TruncatedRequestsNeverCrash) {
   for (int trial = 0; trial < 100; ++trial) {
     const auto len = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(kValidExchange.size())));
-    const auto requests = parse_requests(stream_of(kValidExchange.substr(0, len)));
+    const auto requests =
+        parse_requests_ex(stream_of(kValidExchange.substr(0, len))).requests;
     EXPECT_LE(requests.size(), 2u);
   }
 }
@@ -61,30 +62,30 @@ TEST(HttpGarbageTest, PureGarbageYieldsNothing) {
     std::string garbage(static_cast<std::size_t>(rng.uniform_int(0, 300)), '\0');
     for (auto& c : garbage) c = static_cast<char>(rng.uniform_int(0, 255));
     // Must not throw; usually yields zero messages.
-    const auto requests = parse_requests(stream_of(garbage));
-    const auto responses = parse_responses(stream_of(garbage), true);
+    const auto requests = parse_requests_ex(stream_of(garbage)).requests;
+    const auto responses = parse_responses_ex(stream_of(garbage), true).responses;
     EXPECT_LE(requests.size() + responses.size(), 8u);
   }
 }
 
 TEST(HttpGarbageTest, HugeContentLengthDoesNotAllocate) {
-  const auto responses = parse_responses(
+  const auto responses = parse_responses_ex(
       stream_of("HTTP/1.1 200 OK\r\nContent-Length: 99999999999999\r\n\r\nx"),
-      false);
+      false).responses;
   EXPECT_TRUE(responses.empty());  // body incomplete -> dropped
 }
 
 TEST(HttpGarbageTest, NegativeContentLengthRejected) {
-  const auto responses = parse_responses(
-      stream_of("HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\nhello"), false);
+  const auto responses = parse_responses_ex(
+      stream_of("HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\nhello"), false).responses;
   EXPECT_TRUE(responses.empty());
 }
 
 TEST(HttpGarbageTest, MalformedChunkSizesRejected) {
-  const auto responses = parse_responses(
+  const auto responses = parse_responses_ex(
       stream_of("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
                 "ZZZ\r\nnot-hex\r\n0\r\n\r\n"),
-      false);
+      false).responses;
   EXPECT_TRUE(responses.empty());
 }
 

@@ -13,8 +13,10 @@ dm::net::DirectionStream stream_of(std::string data, std::uint64_t ts = 100) {
 }
 
 TEST(HttpParserTest, SimpleGetRequest) {
-  const auto reqs = parse_requests(stream_of(
-      "GET /index.html HTTP/1.1\r\nHost: example.com\r\nReferer: http://a.b/\r\n\r\n"));
+  const auto reqs =
+      parse_requests_ex(stream_of("GET /index.html HTTP/1.1\r\nHost: example.com\r\n"
+                                  "Referer: http://a.b/\r\n\r\n"))
+          .requests;
   ASSERT_EQ(reqs.size(), 1u);
   EXPECT_EQ(reqs[0].method, "GET");
   EXPECT_EQ(reqs[0].uri, "/index.html");
@@ -25,30 +27,31 @@ TEST(HttpParserTest, SimpleGetRequest) {
 }
 
 TEST(HttpParserTest, PostWithBody) {
-  const auto reqs = parse_requests(stream_of(
-      "POST /gate.php HTTP/1.1\r\nHost: c2\r\nContent-Length: 7\r\n\r\nid=1234"));
+  const auto reqs = parse_requests_ex(stream_of("POST /gate.php HTTP/1.1\r\nHost: c2\r\n"
+                                                "Content-Length: 7\r\n\r\nid=1234"))
+                        .requests;
   ASSERT_EQ(reqs.size(), 1u);
   EXPECT_EQ(reqs[0].method, "POST");
   EXPECT_EQ(reqs[0].body, "id=1234");
 }
 
 TEST(HttpParserTest, PipelinedRequests) {
-  const auto reqs = parse_requests(stream_of(
-      "GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /b HTTP/1.1\r\nHost: x\r\n\r\n"));
+  const auto reqs = parse_requests_ex(stream_of(
+      "GET /a HTTP/1.1\r\nHost: x\r\n\r\nGET /b HTTP/1.1\r\nHost: x\r\n\r\n")).requests;
   ASSERT_EQ(reqs.size(), 2u);
   EXPECT_EQ(reqs[0].uri, "/a");
   EXPECT_EQ(reqs[1].uri, "/b");
 }
 
 TEST(HttpParserTest, StopsAtMalformedRequestLine) {
-  const auto reqs = parse_requests(stream_of(
-      "GET /ok HTTP/1.1\r\nHost: x\r\n\r\nNOT-A-METHOD gibberish\r\n\r\n"));
+  const auto reqs = parse_requests_ex(stream_of(
+      "GET /ok HTTP/1.1\r\nHost: x\r\n\r\nNOT-A-METHOD gibberish\r\n\r\n")).requests;
   EXPECT_EQ(reqs.size(), 1u);
 }
 
 TEST(HttpParserTest, IncompleteBodyDropped) {
-  const auto reqs = parse_requests(stream_of(
-      "POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\nshort"));
+  const auto reqs = parse_requests_ex(stream_of(
+      "POST /x HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\nshort")).requests;
   EXPECT_TRUE(reqs.empty());
 }
 
@@ -64,7 +67,7 @@ TEST(HttpParserTest, ChunkedBodyIsExactlySized) {
     want += chunk;
   }
   wire += "0\r\n\r\n";
-  const auto resps = parse_responses(stream_of(wire), false);
+  const auto resps = parse_responses_ex(stream_of(wire), false).responses;
   ASSERT_EQ(resps.size(), 1u);
   EXPECT_EQ(resps[0].body, want);
   EXPECT_LE(resps[0].body.capacity(),
@@ -72,10 +75,10 @@ TEST(HttpParserTest, ChunkedBodyIsExactlySized) {
 }
 
 TEST(HttpParserTest, SimpleResponseWithContentLength) {
-  const auto resps = parse_responses(
+  const auto resps = parse_responses_ex(
       stream_of("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
                 "Content-Length: 5\r\n\r\nhello"),
-      false);
+      false).responses;
   ASSERT_EQ(resps.size(), 1u);
   EXPECT_EQ(resps[0].status_code, 200);
   EXPECT_EQ(resps[0].reason, "OK");
@@ -84,69 +87,69 @@ TEST(HttpParserTest, SimpleResponseWithContentLength) {
 }
 
 TEST(HttpParserTest, RedirectResponse) {
-  const auto resps = parse_responses(
+  const auto resps = parse_responses_ex(
       stream_of("HTTP/1.1 302 Found\r\nLocation: http://next.example/\r\n"
                 "Content-Length: 0\r\n\r\n"),
-      false);
+      false).responses;
   ASSERT_EQ(resps.size(), 1u);
   EXPECT_TRUE(resps[0].is_redirect());
   EXPECT_EQ(resps[0].location().value(), "http://next.example/");
 }
 
 TEST(HttpParserTest, ChunkedResponseBody) {
-  const auto resps = parse_responses(
+  const auto resps = parse_responses_ex(
       stream_of("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
                 "5\r\nhello\r\n6\r\n world\r\n0\r\n\r\n"),
-      false);
+      false).responses;
   ASSERT_EQ(resps.size(), 1u);
   EXPECT_EQ(resps[0].body, "hello world");
 }
 
 TEST(HttpParserTest, ChunkedWithExtensionsAndTrailers) {
-  const auto resps = parse_responses(
+  const auto resps = parse_responses_ex(
       stream_of("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
                 "3;ext=1\r\nabc\r\n0\r\nX-Trailer: v\r\n\r\n"),
-      false);
+      false).responses;
   ASSERT_EQ(resps.size(), 1u);
   EXPECT_EQ(resps[0].body, "abc");
 }
 
 TEST(HttpParserTest, CloseDelimitedBodyRequiresClosedFlag) {
   const std::string wire = "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n\r\nbody to end";
-  EXPECT_TRUE(parse_responses(stream_of(wire), false).empty());
-  const auto resps = parse_responses(stream_of(wire), true);
+  EXPECT_TRUE(parse_responses_ex(stream_of(wire), false).responses.empty());
+  const auto resps = parse_responses_ex(stream_of(wire), true).responses;
   ASSERT_EQ(resps.size(), 1u);
   EXPECT_EQ(resps[0].body, "body to end");
 }
 
 TEST(HttpParserTest, BodylessStatusCodes) {
-  const auto resps = parse_responses(
+  const auto resps = parse_responses_ex(
       stream_of("HTTP/1.1 304 Not Modified\r\nETag: x\r\n\r\n"
                 "HTTP/1.1 204 No Content\r\n\r\n"),
-      false);
+      false).responses;
   ASSERT_EQ(resps.size(), 2u);
   EXPECT_EQ(resps[0].status_code, 304);
   EXPECT_EQ(resps[1].status_code, 204);
 }
 
 TEST(HttpParserTest, MultiSpaceReasonPhrase) {
-  const auto resps = parse_responses(
-      stream_of("HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"), false);
+  const auto resps = parse_responses_ex(
+      stream_of("HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"), false).responses;
   ASSERT_EQ(resps.size(), 1u);
   EXPECT_EQ(resps[0].reason, "Not Found");
 }
 
 TEST(HttpParserTest, HeaderLookupCaseInsensitive) {
-  const auto reqs = parse_requests(stream_of(
-      "GET / HTTP/1.1\r\nHOST: UPPER.example\r\nuser-agent: UA\r\n\r\n"));
+  const auto reqs = parse_requests_ex(stream_of(
+      "GET / HTTP/1.1\r\nHOST: UPPER.example\r\nuser-agent: UA\r\n\r\n")).requests;
   ASSERT_EQ(reqs.size(), 1u);
   EXPECT_EQ(reqs[0].host(), "upper.example");
   EXPECT_EQ(reqs[0].user_agent().value(), "UA");
 }
 
 TEST(HttpParserTest, HostHeaderPortStripped) {
-  const auto reqs = parse_requests(
-      stream_of("GET / HTTP/1.1\r\nHost: example.com:8080\r\n\r\n"));
+  const auto reqs = parse_requests_ex(
+      stream_of("GET / HTTP/1.1\r\nHost: example.com:8080\r\n\r\n")).requests;
   ASSERT_EQ(reqs.size(), 1u);
   EXPECT_EQ(reqs[0].host(), "example.com");
 }

@@ -6,11 +6,11 @@
 // stable sort.  Both overloads (owning PcapFile and zero-copy PcapFileView)
 // must give the oracle's ordered transactions, every field compared, and
 // its fault counts.  Inputs cover what could tell the two apart: flow
-// order on request-time ties, a 4-tuple reused after FIN, undecodable
-// frames, and the seeded fault mutators.  Further fences pin the stream's
-// storage: one reservation of the output when nothing is pipelined, growth
-// when pipelining makes that reservation fall short, and allocator growth
-// close to the stream's own bytes.
+// order on request-time ties, a 4-tuple reused after FIN, flows captured
+// from the SYN-ACK on, undecodable frames, and the seeded fault mutators.
+// Further fences pin the stream's storage: one reservation of the output
+// when nothing is pipelined, growth when pipelining makes that reservation
+// fall short, and allocator growth close to the stream's own bytes.
 // Runs in the `fault` ctest label (re-run under both sanitizers).
 #include "http/transaction_stream.h"
 
@@ -274,7 +274,8 @@ TEST(FlowAtATimeReconstructionTest, FaultMutatorsOverSeeds) {
         // Byte-level damage inside record payloads, decoded back.
         auto bytes = dm::net::write_pcap(capture);
         dm::faultinject::corrupt_payload_bytes(bytes, 40, rng);
-        capture = dm::net::decode_pcap(bytes).file;
+        capture =
+            dm::faultinject::owning_copy(dm::net::decode_pcap_view(bytes).file);
         break;
       }
     }
@@ -328,6 +329,24 @@ TEST(FlowAtATimeReconstructionTest, UnpipelinedStreamIsReservedOnce) {
   expect_matches_oracle(capture, "unpipelined");
 }
 
+/// Wire bytes of GET /p<k> to pipelined.example.
+std::string request(int k) {
+  dm::http::HttpRequest req;
+  req.method = "GET";
+  req.uri = "/p" + std::to_string(k);
+  req.headers.add("Host", "pipelined.example");
+  return dm::synth::render_request(req);
+}
+
+/// Wire bytes of a 200 answer whose body names `k`.
+std::string response(int k) {
+  dm::http::HttpResponse res;
+  res.status_code = 200;
+  res.headers.add("Content-Type", "text/html");
+  res.body = "<p>" + std::to_string(k) + "</p>";
+  return dm::synth::render_response(res);
+}
+
 TEST(FlowAtATimeReconstructionTest, PipelinedRequestsOutgrowTheReservation) {
   // Client 1 pipelines three GETs in one segment and gets the three answers
   // in one; client 2 sends three GETs one at a time, its first at the same
@@ -336,20 +355,6 @@ TEST(FlowAtATimeReconstructionTest, PipelinedRequestsOutgrowTheReservation) {
   // requests and client 2's first tie on request time.
   const std::uint64_t start = 1'600'000'000ULL * 1'000'000;
   const auto server = dm::net::Ipv4Address::from_octets(93, 184, 216, 34);
-  const auto request = [](int k) {
-    dm::http::HttpRequest req;
-    req.method = "GET";
-    req.uri = "/p" + std::to_string(k);
-    req.headers.add("Host", "pipelined.example");
-    return dm::synth::render_request(req);
-  };
-  const auto response = [](int k) {
-    dm::http::HttpResponse res;
-    res.status_code = 200;
-    res.headers.add("Content-Type", "text/html");
-    res.body = "<p>" + std::to_string(k) + "</p>";
-    return dm::synth::render_response(res);
-  };
   PcapFile capture;
   dm::net::TcpConversationBuilder pipelined(
       dm::net::Ipv4Address::from_octets(10, 9, 0, 1), 40200, server, 80);
@@ -376,6 +381,48 @@ TEST(FlowAtATimeReconstructionTest, PipelinedRequestsOutgrowTheReservation) {
     EXPECT_EQ(txns[i].request.ts_micros, txns[0].request.ts_micros) << i;
   }
   EXPECT_EQ(expect_matches_oracle(capture, "pipelined"), 6u);
+}
+
+TEST(FlowAtATimeReconstructionTest, FlowsOpeningAtTheSynAckMatchTheOracle) {
+  // Two connections captured from the server's SYN-ACK on: the client's SYN
+  // was missed.  Both the reassembler and pass 1's run count take the
+  // SYN-ACK's receiver as the client, so the stream is whole and its
+  // reservation exact.  The first connection's last request goes
+  // unanswered: a run count that took the SYN-ACK's sender as the client
+  // would reserve three slots for the four transactions, and the second
+  // connection's transaction would regrow the vector.
+  const std::uint64_t start = 1'600'000'000ULL * 1'000'000;
+  const auto client = dm::net::Ipv4Address::from_octets(10, 0, 0, 5);
+  const auto server = dm::net::Ipv4Address::from_octets(93, 184, 216, 34);
+  dm::net::TcpConversationBuilder three(client, 40300, server, 80);
+  three.handshake(start);
+  for (int k = 0; k < 3; ++k) {
+    three.client_send(start + 2'000 + k * 1'500, request(k));
+    if (k < 2) three.server_send(start + 2'700 + k * 1'500, response(k));
+  }
+  three.teardown(start + 8'000);
+  dm::net::TcpConversationBuilder one(client, 40301, server, 80);
+  one.handshake(start + 10'000);
+  one.client_send(start + 12'000, request(3));
+  one.server_send(start + 13'000, response(3));
+  one.teardown(start + 14'000);
+  PcapFile capture;
+  for (auto* conversation : {&three, &one}) {
+    auto packets = conversation->take_packets();
+    packets.erase(packets.begin());  // the client's SYN
+    append(capture, {1, std::move(packets)});
+  }
+  const auto opening = dm::net::parse_ethernet_ipv4_tcp(capture.packets[0].data);
+  ASSERT_TRUE(opening->flags.syn && opening->flags.ack);
+
+  dm::util::FaultStats faults;
+  const auto txns = dm::http::transactions_from_pcap(capture, &faults);
+  ASSERT_EQ(txns.size(), 4u);
+  for (const auto& txn : txns) EXPECT_EQ(txn.client_host, "10.0.0.5");
+  EXPECT_FALSE(txns[2].response.has_value());
+  EXPECT_EQ(txns.capacity(), txns.size());
+  EXPECT_EQ(faults.total(), 0u) << faults.snapshot().summary();
+  EXPECT_EQ(expect_matches_oracle(capture, "SYN-ACK first"), 4u);
 }
 
 TEST(FlowAtATimeReconstructionTest, FenceFailsWhenTheOracleMissesAPayloadPacket) {

@@ -1,19 +1,29 @@
-// Differential fence for the zero-copy pcap path (DESIGN.md §15): the
-// owning decoder (decode_pcap / decode_pcap_file) is the reference; the
-// mmap-backed view decoder must agree with it byte for byte on every input
-// class — clean captures, truncated tails, fatal headers, quarantined
-// records — and the reconstructed transaction stream must be identical.
-// Both entry points share one parser (decode_pcap is a copying wrapper over
-// decode_pcap_view), so a divergence here means the wrapper, the mapping,
-// or a lifetime bug — exactly the failure modes a zero-copy refactor can
-// introduce.
+// Differential fence for the capture file reader (DESIGN.md §15): the
+// reference is decode_pcap_view over the same bytes held in memory; the
+// decode of the file through MappedPcap must agree with it byte for byte
+// on every input class — clean captures, truncated tails, fatal headers,
+// quarantined records, an empty file — and the file reader's transaction
+// stream must equal in-memory reconstruction of the same bytes.  Both
+// decode the same way, so a divergence here means the mapping, the read
+// of what cannot be mapped, or a lifetime bug.  The file reader's error
+// contract and a capture read through a pipe are fenced here too.  (In the
+// test names, the "owning decode" is the decode of the buffer the test
+// owns.)
 #include "net/pcap_mmap.h"
 
+#include <pthread.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,61 +68,113 @@ std::vector<std::uint8_t> episode_capture_bytes(std::uint64_t seed) {
   return dm::net::write_pcap(dm::synth::episode_to_pcap(episode));
 }
 
-/// The whole differential: owning decode of `bytes` vs mmap decode of the
-/// same bytes from a file.  Checks flags, errors, packets, and quarantine.
+/// A pipe that a writer thread fills with `bytes` and then closes; path()
+/// names its read end, as `cat capture.pcap | reader /dev/stdin` would.
+class PipeCapture {
+ public:
+  explicit PipeCapture(const std::vector<std::uint8_t>& bytes) {
+    int fds[2];
+    if (::pipe(fds) != 0) throw std::runtime_error("pipe() failed");
+    read_fd_ = fds[0];
+    writer_ = std::thread([&bytes, fd = fds[1]] {
+      // A reader that gave up early closes the pipe: the write then fails
+      // with EPIPE instead of raising SIGPIPE on the test process.
+      sigset_t pipe_signal;
+      sigemptyset(&pipe_signal);
+      sigaddset(&pipe_signal, SIGPIPE);
+      pthread_sigmask(SIG_BLOCK, &pipe_signal, nullptr);
+      std::size_t at = 0;
+      while (at < bytes.size()) {
+        const ssize_t n = ::write(fd, bytes.data() + at, bytes.size() - at);
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) break;
+        at += static_cast<std::size_t>(n);
+      }
+      ::close(fd);
+    });
+  }
+  ~PipeCapture() {
+    ::close(read_fd_);  // unblocks a writer whose reader never came
+    writer_.join();
+  }
+  PipeCapture(const PipeCapture&) = delete;
+  PipeCapture& operator=(const PipeCapture&) = delete;
+
+  std::string path() const { return "/dev/fd/" + std::to_string(read_fd_); }
+
+ private:
+  int read_fd_ = -1;
+  std::thread writer_;
+};
+
+/// Every field the detector reads, in stream order.
+void expect_same_transactions(
+    const std::vector<dm::http::HttpTransaction>& want,
+    const std::vector<dm::http::HttpTransaction>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].client_host, got[i].client_host) << i;
+    EXPECT_EQ(want[i].server_host, got[i].server_host) << i;
+    EXPECT_EQ(want[i].request.uri, got[i].request.uri) << i;
+    EXPECT_EQ(want[i].request.ts_micros, got[i].request.ts_micros) << i;
+    EXPECT_EQ(want[i].request.body, got[i].request.body) << i;
+    ASSERT_EQ(want[i].response.has_value(), got[i].response.has_value()) << i;
+    if (want[i].response) {
+      EXPECT_EQ(want[i].response->status_code, got[i].response->status_code)
+          << i;
+      EXPECT_EQ(want[i].response->body, got[i].response->body) << i;
+    }
+  }
+}
+
+/// The slice lies inside `buffer`.
+bool points_into(std::span<const std::uint8_t> slice,
+                 std::span<const std::uint8_t> buffer) {
+  return slice.empty() ||
+         (slice.data() >= buffer.data() &&
+          slice.data() + slice.size() <= buffer.data() + buffer.size());
+}
+
+/// The whole differential: in-memory decode of `bytes` vs mapped decode of
+/// the same bytes from a file.  Checks flags, errors, packets, and
+/// quarantine.
 void expect_equivalent(const std::vector<std::uint8_t>& bytes,
                        const std::string& tag,
                        const PcapDecodeOptions& options = {}) {
-  const auto owning = dm::net::decode_pcap(bytes, options);
+  const auto in_memory = dm::net::decode_pcap_view(bytes, options);
   const TempCapture file(bytes, tag);
   const MappedPcap mapped(file.path(), options);
   const auto& view = mapped.result();
 
-  EXPECT_EQ(owning.fatal, view.fatal) << tag;
-  EXPECT_EQ(owning.truncated_tail, view.truncated_tail) << tag;
-  EXPECT_EQ(owning.file.link_type, view.file.link_type) << tag;
+  EXPECT_EQ(in_memory.fatal, view.fatal) << tag;
+  EXPECT_EQ(in_memory.truncated_tail, view.truncated_tail) << tag;
+  EXPECT_EQ(in_memory.file.link_type, view.file.link_type) << tag;
 
-  ASSERT_EQ(owning.errors.size(), view.errors.size()) << tag;
-  for (std::size_t i = 0; i < owning.errors.size(); ++i) {
-    EXPECT_EQ(owning.errors[i].code, view.errors[i].code) << tag << " #" << i;
-    EXPECT_EQ(owning.errors[i].offset, view.errors[i].offset)
+  ASSERT_EQ(in_memory.errors.size(), view.errors.size()) << tag;
+  for (std::size_t i = 0; i < in_memory.errors.size(); ++i) {
+    EXPECT_EQ(in_memory.errors[i].code, view.errors[i].code) << tag << " #" << i;
+    EXPECT_EQ(in_memory.errors[i].offset, view.errors[i].offset)
         << tag << " #" << i;
   }
 
-  ASSERT_EQ(owning.file.packets.size(), view.file.packets.size()) << tag;
+  // Zero-copy means ALIAS, not equal bytes: every slice must point into
+  // the mapping itself.
   const auto mapping = mapped.mapping().bytes();
-  for (std::size_t i = 0; i < owning.file.packets.size(); ++i) {
-    const auto& own = owning.file.packets[i];
-    const auto& slice = view.file.packets[i];
-    EXPECT_EQ(own.ts_micros, slice.ts_micros) << tag << " packet " << i;
-    ASSERT_EQ(own.data.size(), slice.data.size()) << tag << " packet " << i;
-    if (!own.data.empty()) {
-      EXPECT_EQ(0, std::memcmp(own.data.data(), slice.data.data(),
-                               own.data.size()))
-          << tag << " packet " << i;
-    }
-    // Zero-copy means ALIAS, not equal bytes: every slice must point into
-    // the mapping itself.
-    if (!slice.data.empty()) {
-      EXPECT_GE(slice.data.data(), mapping.data()) << tag;
-      EXPECT_LE(slice.data.data() + slice.data.size(),
-                mapping.data() + mapping.size())
-          << tag;
-    }
-  }
-
-  ASSERT_EQ(owning.quarantined.size(), view.quarantined.size()) << tag;
-  for (std::size_t i = 0; i < owning.quarantined.size(); ++i) {
-    const auto& own = owning.quarantined[i];
-    const auto& slice = view.quarantined[i];
-    EXPECT_EQ(own.ts_micros, slice.ts_micros) << tag;
-    ASSERT_EQ(own.data.size(), slice.data.size()) << tag;
-    if (!own.data.empty()) {
-      EXPECT_EQ(0, std::memcmp(own.data.data(), slice.data.data(),
-                               own.data.size()))
-          << tag;
-    }
-  }
+  const auto expect_same_records =
+      [&](const std::vector<dm::net::PcapPacketView>& want,
+          const std::vector<dm::net::PcapPacketView>& got, const char* what) {
+        ASSERT_EQ(want.size(), got.size()) << tag << " " << what;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(want[i].ts_micros, got[i].ts_micros)
+              << tag << " " << what << " " << i;
+          EXPECT_TRUE(std::ranges::equal(want[i].data, got[i].data))
+              << tag << " " << what << " " << i;
+          EXPECT_TRUE(points_into(got[i].data, mapping))
+              << tag << " " << what << " " << i;
+        }
+      };
+  expect_same_records(in_memory.file.packets, view.file.packets, "packet");
+  expect_same_records(in_memory.quarantined, view.quarantined, "quarantined");
 }
 
 TEST(PcapMmapTest, CleanCaptureMatchesOwningDecode) {
@@ -157,30 +219,86 @@ TEST(PcapMmapTest, EmptyFileMatchesOwningDecode) {
 TEST(PcapMmapTest, TransactionsIdenticalAcrossPaths) {
   const auto bytes = episode_capture_bytes(17);
   const TempCapture file(bytes, "txns");
-  const auto owning = dm::http::transactions_from_pcap_file(file.path());
-  const auto mapped = dm::http::transactions_from_pcap_file_mmap(file.path());
-  ASSERT_FALSE(owning.empty());
-  ASSERT_EQ(owning.size(), mapped.size());
-  for (std::size_t i = 0; i < owning.size(); ++i) {
-    EXPECT_EQ(owning[i].client_host, mapped[i].client_host) << i;
-    EXPECT_EQ(owning[i].server_host, mapped[i].server_host) << i;
-    EXPECT_EQ(owning[i].request.uri, mapped[i].request.uri) << i;
-    EXPECT_EQ(owning[i].request.ts_micros, mapped[i].request.ts_micros) << i;
-    EXPECT_EQ(owning[i].request.body, mapped[i].request.body) << i;
-    ASSERT_EQ(owning[i].response.has_value(), mapped[i].response.has_value())
-        << i;
-    if (owning[i].response) {
-      EXPECT_EQ(owning[i].response->status_code, mapped[i].response->status_code)
-          << i;
-      EXPECT_EQ(owning[i].response->body, mapped[i].response->body) << i;
+  const auto in_memory =
+      dm::http::transactions_from_pcap(dm::net::decode_pcap_view(bytes).file);
+  ASSERT_FALSE(in_memory.empty());
+  expect_same_transactions(in_memory,
+                           dm::http::transactions_from_pcap_file(file.path()));
+}
+
+TEST(PcapMmapTest, PipeIsReadToItsEnd) {
+  // fstat gives a pipe a size of 0, so there is nothing to map: the reader
+  // must read it to its end, not decode an empty capture.  Three episodes
+  // make the capture larger than one pipe buffer (64 KiB), so the writer
+  // blocks until the reader drains it.
+  std::vector<std::uint8_t> bytes;
+  {
+    dm::net::PcapFile merged;
+    dm::synth::TraceGenerator gen(31);
+    for (int i = 0; i < 3; ++i) {
+      auto pcap = dm::synth::episode_to_pcap(
+          gen.infection(dm::synth::exploit_kit_families()[i]));
+      for (auto& pkt : pcap.packets) merged.packets.push_back(std::move(pkt));
     }
+    bytes = dm::net::write_pcap(merged);
   }
+  ASSERT_GT(bytes.size(), 64u * 1024);
+  {
+    const PipeCapture pipe(bytes);
+    const MappedFile mapping(pipe.path());
+    EXPECT_FALSE(mapping.mapped());
+    EXPECT_TRUE(std::ranges::equal(mapping.bytes(), bytes));
+  }
+  const TempCapture file(bytes, "pipe");
+  const auto from_file = dm::http::transactions_from_pcap_file(file.path());
+  ASSERT_FALSE(from_file.empty());
+  const PipeCapture pipe(bytes);
+  dm::util::FaultStats faults;
+  const auto from_pipe =
+      dm::http::transactions_from_pcap_file(pipe.path(), &faults);
+  EXPECT_EQ(faults.total(), 0u) << faults.snapshot().summary();
+  expect_same_transactions(from_file, from_pipe);
+}
+
+TEST(PcapMmapTest, FileReaderKeepsItsErrorContract) {
+  using dm::http::transactions_from_pcap_file;
+  using dm::util::DecodeErrorCode;
+  // An I/O error throws, with or without fault accounting.
+  const std::string missing = "/nonexistent/net_pcap_mmap_test.pcap";
+  dm::util::FaultStats io_faults;
+  EXPECT_THROW(transactions_from_pcap_file(missing), std::runtime_error);
+  EXPECT_THROW(transactions_from_pcap_file(missing, &io_faults),
+               std::runtime_error);
+
+  // An unusable global header throws without `faults` and is counted with
+  // it, the stream then empty.
+  const TempCapture bad_magic(std::vector<std::uint8_t>(64, 0xAB), "bad_magic");
+  EXPECT_THROW(transactions_from_pcap_file(bad_magic.path()), std::runtime_error);
+  dm::util::FaultStats faults;
+  EXPECT_TRUE(transactions_from_pcap_file(bad_magic.path(), &faults).empty());
+  EXPECT_EQ(faults.count(DecodeErrorCode::kPcapBadMagic), 1u);
+  EXPECT_EQ(faults.total(), 1u);
+  const TempCapture empty({}, "empty_reader");
+  EXPECT_THROW(transactions_from_pcap_file(empty.path()), std::runtime_error);
+
+  // Every other fault is quarantined: a cut tail keeps the prefix's
+  // transactions, with or without `faults`.
+  auto cut = episode_capture_bytes(37);
+  cut.resize(cut.size() - 7);
+  const TempCapture truncated(cut, "cut_tail");
+  dm::util::FaultStats cut_faults;
+  const auto salvaged = transactions_from_pcap_file(truncated.path());
+  EXPECT_FALSE(salvaged.empty());
+  EXPECT_EQ(transactions_from_pcap_file(truncated.path(), &cut_faults).size(),
+            salvaged.size());
+  EXPECT_EQ(cut_faults.count(DecodeErrorCode::kPcapTruncatedRecord), 1u);
 }
 
 TEST(PcapMmapTest, MappedFileReportsWholeFile) {
   const auto bytes = episode_capture_bytes(19);
   const TempCapture file(bytes, "whole");
   const MappedFile mapping(file.path());
+  EXPECT_TRUE(mapping.mapped());
   ASSERT_EQ(mapping.size(), bytes.size());
   EXPECT_EQ(0, std::memcmp(mapping.bytes().data(), bytes.data(), bytes.size()));
 }
@@ -204,13 +322,13 @@ TEST(PcapMmapTest, MissingFileThrows) {
 TEST(PcapMmapTest, FaultStatsAgreeAcrossPaths) {
   auto bytes = episode_capture_bytes(29);
   bytes.resize(bytes.size() - 5);
-  dm::util::FaultStats owning_faults;
-  dm::util::FaultStats view_faults;
-  (void)dm::net::decode_pcap(bytes, {}, &owning_faults);
+  dm::util::FaultStats in_memory_faults;
+  dm::util::FaultStats mapped_faults;
+  (void)dm::net::decode_pcap_view(bytes, {}, &in_memory_faults);
   const TempCapture file(bytes, "faults");
-  const MappedPcap mapped(file.path(), {}, &view_faults);
-  const auto a = owning_faults.snapshot();
-  const auto b = view_faults.snapshot();
+  const MappedPcap mapped(file.path(), {}, &mapped_faults);
+  const auto a = in_memory_faults.snapshot();
+  const auto b = mapped_faults.snapshot();
   for (std::size_t i = 0; i < dm::util::kDecodeErrorCodeCount; ++i) {
     EXPECT_EQ(a.counts[i], b.counts[i]) << dm::util::decode_error_name(
         static_cast<dm::util::DecodeErrorCode>(i));

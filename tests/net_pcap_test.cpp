@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "net/pcap_mmap.h"
+
 namespace dm::net {
 namespace {
 
@@ -16,15 +18,19 @@ PcapFile sample_file() {
   return file;
 }
 
+std::vector<std::uint8_t> bytes_of(std::span<const std::uint8_t> slice) {
+  return {slice.begin(), slice.end()};
+}
+
 TEST(PcapTest, WriteReadRoundTrip) {
   const auto original = sample_file();
   const auto bytes = write_pcap(original);
-  const auto parsed = read_pcap(bytes);
+  const auto parsed = decode_pcap_view(bytes).file;
   EXPECT_EQ(parsed.link_type, 1u);
   ASSERT_EQ(parsed.packets.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(parsed.packets[i].ts_micros, original.packets[i].ts_micros);
-    EXPECT_EQ(parsed.packets[i].data, original.packets[i].data);
+    EXPECT_EQ(bytes_of(parsed.packets[i].data), original.packets[i].data);
   }
 }
 
@@ -43,19 +49,29 @@ TEST(PcapTest, GlobalHeaderFields) {
 
 TEST(PcapTest, RejectsBadMagic) {
   std::vector<std::uint8_t> bytes(24, 0);
-  EXPECT_THROW(read_pcap(bytes), std::runtime_error);
+  const auto result = decode_pcap_view(bytes);
+  EXPECT_TRUE(result.fatal);
+  ASSERT_EQ(result.errors.size(), 1u);
+  EXPECT_EQ(result.errors[0].code, dm::util::DecodeErrorCode::kPcapBadMagic);
+  EXPECT_TRUE(result.file.packets.empty());
 }
 
 TEST(PcapTest, RejectsTruncatedHeader) {
   std::vector<std::uint8_t> bytes(10, 0);
-  EXPECT_THROW(read_pcap(bytes), std::runtime_error);
+  const auto result = decode_pcap_view(bytes);
+  EXPECT_TRUE(result.fatal);
+  ASSERT_EQ(result.errors.size(), 1u);
+  EXPECT_EQ(result.errors[0].code,
+            dm::util::DecodeErrorCode::kPcapTruncatedHeader);
+  EXPECT_TRUE(result.file.packets.empty());
 }
 
 TEST(PcapTest, DropsTruncatedFinalRecord) {
   auto bytes = write_pcap(sample_file());
   bytes.pop_back();  // truncate the last packet's data
-  const auto parsed = read_pcap(bytes);
-  EXPECT_EQ(parsed.packets.size(), 2u);
+  const auto result = decode_pcap_view(bytes);
+  EXPECT_FALSE(result.fatal);
+  EXPECT_EQ(result.file.packets.size(), 2u);
 }
 
 TEST(PcapTest, ViewDecodeSizesThePacketArrayExactly) {
@@ -102,7 +118,7 @@ TEST(PcapTest, ReadsNanosecondMagic) {
   bytes[1] = 0x3c;
   bytes[2] = 0xb2;
   bytes[3] = 0xa1;
-  const auto parsed = read_pcap(bytes);
+  const auto parsed = decode_pcap_view(bytes).file;
   ASSERT_EQ(parsed.packets.size(), 3u);
   // Fractional part now interpreted as nanoseconds: 0 usec becomes 0,
   // 500000 "ns" -> 500 us.
@@ -114,13 +130,20 @@ TEST(PcapTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/dm_pcap_test.pcap";
   const auto original = sample_file();
   write_pcap_file(path, original);
-  const auto parsed = read_pcap_file(path);
-  EXPECT_EQ(parsed.packets.size(), original.packets.size());
+  {
+    const MappedPcap parsed(path);
+    EXPECT_FALSE(parsed.result().fatal);
+    ASSERT_EQ(parsed.file().packets.size(), original.packets.size());
+    for (std::size_t i = 0; i < original.packets.size(); ++i) {
+      EXPECT_EQ(bytes_of(parsed.file().packets[i].data),
+                original.packets[i].data);
+    }
+  }
   std::remove(path.c_str());
 }
 
 TEST(PcapTest, MissingFileThrows) {
-  EXPECT_THROW(read_pcap_file("/nonexistent/definitely/missing.pcap"),
+  EXPECT_THROW(MappedPcap("/nonexistent/definitely/missing.pcap"),
                std::runtime_error);
 }
 
@@ -128,7 +151,9 @@ TEST(PcapTest, LargeTimestampPreserved) {
   PcapFile file;
   const std::uint64_t ts = 1467849600ULL * 1000000 + 123456;  // 2016-07-07
   file.packets.push_back({ts, {0x00}});
-  const auto parsed = read_pcap(write_pcap(file));
+  const auto bytes = write_pcap(file);
+  const auto parsed = decode_pcap_view(bytes).file;
+  ASSERT_EQ(parsed.packets.size(), 1u);
   EXPECT_EQ(parsed.packets[0].ts_micros, ts);
 }
 

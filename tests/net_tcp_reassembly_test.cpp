@@ -123,6 +123,26 @@ TEST(TcpReassemblyTest, MidStreamCaptureAdoptsSequence) {
   EXPECT_EQ(r.flows()[0]->client_to_server.data, "partial");
 }
 
+TEST(TcpReassemblyTest, LeadingSynAckNamesItsReceiverTheClient) {
+  // The capture began after the client's SYN: the server's SYN-ACK comes
+  // first, and the client is the end it answers, not its sender.
+  TcpReassembler r;
+  r.ingest(data_packet(kServer, 80, kClient, 40000, 5000, "",
+                       {.syn = true, .ack = true}),
+           1);
+  r.ingest(data_packet(kClient, 40000, kServer, 80, 101, "GET / HTTP/1.1\r\n\r\n"), 2);
+  r.ingest(data_packet(kServer, 80, kClient, 40000, 5001, "HTTP/1.1 200 OK\r\n"), 3);
+  const auto flows = r.flows();
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows[0]->client_ip, kClient);
+  EXPECT_EQ(flows[0]->client_port, 40000);
+  EXPECT_EQ(flows[0]->server_ip, kServer);
+  EXPECT_EQ(flows[0]->server_port, 80);
+  EXPECT_TRUE(flows[0]->saw_syn);
+  EXPECT_EQ(flows[0]->client_to_server.data, "GET / HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(flows[0]->server_to_client.data, "HTTP/1.1 200 OK\r\n");
+}
+
 TEST(TcpReassemblyTest, TimestampsTrackChunks) {
   TcpReassembler r;
   r.ingest(data_packet(kClient, 40000, kServer, 80, 100, "", {.syn = true}), 10);
