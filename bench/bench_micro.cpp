@@ -115,7 +115,7 @@ void BM_ErfPredict(benchmark::State& state) {
   const auto features =
       dm::core::extract_features(dm::core::build_wcg(sample_infection().transactions));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(detector.forest().predict_proba(features));
+    benchmark::DoNotOptimize(detector.flat_forest().predict_proba(features));
   }
 }
 BENCHMARK(BM_ErfPredict);

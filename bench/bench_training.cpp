@@ -8,7 +8,8 @@
 //
 // Before any ratio is reported, the correctness fence is enforced: the
 // dataset rows and the serialized forests at 1, 2, and 8 threads must be
-// BYTE-IDENTICAL to the sequential reference (RandomForest::train).  The
+// BYTE-IDENTICAL to the sequential reference (the test suite's
+// reference::train, tests/reference_forest.h).  The
 // process exits nonzero on divergence — a speedup for a different model is
 // worthless.  This is the same determinism bar the test suite holds
 // (`ctest -L train`), re-checked here on the bench corpus.
@@ -34,6 +35,7 @@
 #include "ml/parallel_trainer.h"
 #include "ml/serialization.h"
 #include "obs/metrics.h"
+#include "reference_forest.h"
 
 namespace {
 
@@ -146,7 +148,7 @@ int main(int argc, char** argv) {
 
   // --- phase 2: ERF training ------------------------------------------------
   const std::string reference =
-      serialized(dm::ml::RandomForest::train(data_1t, forest_options));
+      serialized(dm::ml::reference::train(data_1t, forest_options));
   dm::ml::RandomForest trained = dm::ml::RandomForest::assemble({}, {});
   const auto train_1t = run_phase(
       "dm.train.tree_build_ns", [&](dm::obs::MetricsRegistry& metrics) {
@@ -155,7 +157,7 @@ int main(int argc, char** argv) {
       });
   if (serialized(trained) != reference) {
     std::fprintf(stderr, "FATAL: 1-thread parallel trainer diverged from "
-                         "RandomForest::train\n");
+                         "reference::train\n");
     return 1;
   }
   PhaseResult train_nt;

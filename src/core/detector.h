@@ -11,10 +11,10 @@ namespace dm::core {
 /// threshold; the unit the on-the-wire engine queries after each WCG update.
 ///
 /// Inference runs through a FlatForest compiled from the trained ensemble
-/// at construction (bit-identical scores, cache-resident layout); the
-/// pointer-based RandomForest is kept as the training/serialization
-/// representation and stays reachable via forest() (the online engine's
-/// test oracle, tests/reference_online.h, scores through it).
+/// at construction, the only scorer.  The trained RandomForest is kept as
+/// the artifact the serving layer persists, re-stamps and rolls back, and
+/// stays reachable via forest(); the online engine's test oracle
+/// (tests/reference_online.h) scores it with the test suite's pointer walk.
 class Detector {
  public:
   Detector(dm::ml::RandomForest forest, FeatureExtractorOptions options = {},

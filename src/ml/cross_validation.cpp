@@ -1,5 +1,7 @@
 #include "ml/cross_validation.h"
 
+#include "ml/flat_forest.h"
+
 namespace dm::ml {
 
 CrossValidationResult cross_validate(const Dataset& data, std::size_t k,
@@ -23,7 +25,8 @@ CrossValidationResult cross_validate(const Dataset& data, std::size_t k,
     ForestOptions fold_options = options;
     fold_options.seed = seed ^ (0x9e3779b97f4a7c15ULL * (fold + 1));
     const Dataset train = data.subset(train_rows);
-    const RandomForest forest = train_forest_parallel(train, fold_options, trainer);
+    const FlatForest forest =
+        FlatForest::compile(train_forest_parallel(train, fold_options, trainer));
 
     std::vector<int> fold_labels;
     std::vector<int> fold_predictions;

@@ -23,11 +23,11 @@ struct CrossValidationResult {
 };
 
 /// Runs stratified k-fold CV: trains a forest on k-1 folds, scores the held
-/// out fold, pools results.  `decision_threshold` converts scores to hard
-/// predictions for the confusion matrix.  `trainer` controls the per-fold
-/// forest training (threads, dm.train.* metrics incl. the per-fold
-/// dm.train.fold_ns latency); the result is identical for every thread
-/// count.
+/// out fold through ml::FlatForest (the wire's scorer), pools results.
+/// `decision_threshold` converts scores to hard predictions for the
+/// confusion matrix.  `trainer` controls the per-fold forest training
+/// (threads, dm.train.* metrics incl. the per-fold dm.train.fold_ns
+/// latency); the result is identical for every thread count.
 CrossValidationResult cross_validate(const Dataset& data, std::size_t k,
                                      const ForestOptions& options,
                                      std::uint64_t seed,

@@ -160,18 +160,4 @@ std::optional<DecisionTree::SplitCandidate> DecisionTree::best_split(
   return best;
 }
 
-double DecisionTree::predict_proba(std::span<const double> features) const {
-  if (nodes_.empty()) return 0.0;
-  std::int32_t at = 0;
-  while (true) {
-    const Node& node = nodes_[static_cast<std::size_t>(at)];
-    if (node.left < 0) return node.positive_probability;
-    at = features[node.feature] <= node.threshold ? node.left : node.right;
-  }
-}
-
-int DecisionTree::predict(std::span<const double> features) const {
-  return predict_proba(features) >= 0.5 ? kInfection : kBenign;
-}
-
 }  // namespace dm::ml

@@ -1,8 +1,9 @@
 // CART decision tree for binary classification with Gini impurity and
 // optional per-split feature subsampling (the randomness source for the
 // Ensemble Random Forest).  The paper observes that a single decision tree
-// overfits the internally-variable WCG data (§V-A); we keep the tree public
-// both as the RF building block and as an ablation baseline.
+// overfits the internally-variable WCG data (§V-A); the tree is the RF's
+// building block, and a one-tree forest is the ablation's single-tree
+// baseline.  A tree is trained and stored here; ml::FlatForest scores it.
 #pragma once
 
 #include <cstddef>
@@ -38,18 +39,6 @@ class DecisionTree {
   /// Convenience: train on all rows.
   static DecisionTree train(const Dataset& data, const TreeOptions& options,
                             dm::util::Rng& rng);
-
-  /// P(label == infection) for a feature vector.
-  double predict_proba(std::span<const double> features) const;
-  double predict_proba(std::initializer_list<double> features) const {
-    return predict_proba(std::span<const double>(features.begin(), features.size()));
-  }
-
-  /// Hard decision at threshold 0.5.
-  int predict(std::span<const double> features) const;
-  int predict(std::initializer_list<double> features) const {
-    return predict(std::span<const double>(features.begin(), features.size()));
-  }
 
   struct Node {
     // Internal nodes: feature/threshold and child links; leaves: left == -1.

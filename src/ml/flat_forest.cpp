@@ -65,8 +65,8 @@ double FlatForest::tree_proba(std::uint32_t root,
   std::uint32_t at = root;
   std::int32_t f = feature_[at];
   while (f >= 0) {
-    // Same comparison as DecisionTree::predict_proba: x <= t goes left,
-    // everything else — including NaN — goes right (= left + 1).
+    // x <= t goes left; everything else, NaN included, goes right
+    // (= left + 1).
     at = left_[at] +
          static_cast<std::uint32_t>(
              !(features[static_cast<std::size_t>(f)] <= threshold_[at]));

@@ -1,11 +1,11 @@
-// Flattened, cache-friendly inference form of the Ensemble Random Forest.
+// Flattened, cache-friendly inference form of the Ensemble Random Forest:
+// the one scorer.  The wire's Detector, cross-validation (Table III,
+// Fig. 10) and every offline tool score through it.
 //
 // RandomForest/DecisionTree remain the training and serialization
 // representation: per-tree vectors of 32-byte nodes with explicit
-// left/right links, walked by pointer-chasing.  For the on-the-wire hot
-// path — thousands of predict_proba calls per session — FlatForest
-// compiles the trained ensemble once into a single contiguous
-// structure-of-arrays arena shared by all trees:
+// left/right links.  FlatForest compiles the trained ensemble once into a
+// single contiguous structure-of-arrays arena shared by all trees:
 //
 //        slot:      0      1      2      3      4     ...
 //   feature_ :  [  f0  |  f1  |  -1  |  -1  |  f4  | ... ]  int32, -1 = leaf
@@ -19,9 +19,10 @@
 // The first few levels of every tree — the slots nearly every query
 // touches — sit in a handful of consecutive cache lines.
 //
-// Equivalence contract: predict_proba() is bit-identical to
-// RandomForest::predict_proba() for every input, including NaN features
-// (both send NaN to the right child) — enforced by ml_flat_forest_test.
+// Equivalence contract: predict_proba() is bit-identical to the pointer
+// walk over the source forest's node links that tests/reference_forest.h
+// keeps as the oracle, for every input, including NaN features (both send
+// NaN to the right child) — enforced by ml_flat_forest_test.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +41,10 @@ class FlatForest {
   /// not referenced afterwards.
   static FlatForest compile(const RandomForest& forest);
 
-  /// Ensemble positive-class score; bit-identical to the source forest's
-  /// RandomForest::predict_proba (same per-tree leaves, same summation
-  /// order, same combination rule).
+  /// Ensemble positive-class score in [0, 1]: the mean per-tree leaf
+  /// probability under kProbabilityAveraging, or the fraction of trees
+  /// whose leaf probability is >= 0.5 under kMajorityVote.  Trees are
+  /// summed in training order.
   double predict_proba(std::span<const double> features) const;
   double predict_proba(std::initializer_list<double> features) const {
     return predict_proba(std::span<const double>(features.begin(), features.size()));

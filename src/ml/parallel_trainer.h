@@ -1,16 +1,17 @@
-// Parallel deterministic Stage-1 training.
+// Parallel deterministic Stage-1 training: the one ERF trainer.
 //
 // The ERF's trees are independent given their RNG streams: tree i draws its
 // bootstrap and split randomness from the counter-based stream
 // tree_stream_seed(options.seed, i) (util::stream_seed), never from a
 // shared sequential generator.  Training is therefore a pure function of
 // (data, options) — the trees can be built in any order on any number of
-// threads and the assembled forest is bit-identical to the sequential
-// RandomForest::train, the same determinism contract the inference side
+// threads and the assembled forest is bit-identical to building them one
+// after another, the same determinism contract the inference side
 // established for the flat ERF and the sharded runtime.  The differential
 // suite (ml_parallel_trainer_test, `ctest -L train`) and the
 // bench_training --json A/B both assert byte-identical serialization at
-// 1, 2, and 8 threads.
+// 1, 2, and 8 threads against the test suite's sequential reference
+// trainer (tests/reference_forest.h).
 //
 // Work is fanned over the existing runtime::WorkerPool (one task per tree,
 // round-robin); results land in pre-sized slots so no ordering or merging
@@ -56,9 +57,10 @@ struct TrainerMetrics {
 /// Resolves trainer.metrics (falling back to the process-wide registry).
 TrainerMetrics trainer_metrics(const TrainerOptions& trainer);
 
-/// Trains the forest across trainer.threads workers.  Bit-identical to
-/// RandomForest::train(data, options) at every thread count; throws
-/// std::invalid_argument on an empty dataset like the sequential path.
+/// Trains Nt trees on bootstrap samples of `data` across trainer.threads
+/// workers; at threads = 1 they are built inline on the caller.  The forest
+/// is the same at every thread count.  Throws std::invalid_argument on an
+/// empty dataset.
 RandomForest train_forest_parallel(const Dataset& data,
                                    const ForestOptions& options,
                                    const TrainerOptions& trainer = {});

@@ -1,6 +1,6 @@
 #include "ml/random_forest.h"
 
-#include <stdexcept>
+#include <cmath>
 
 namespace dm::ml {
 
@@ -26,50 +26,12 @@ std::vector<std::size_t> bootstrap_sample(std::size_t dataset_size,
   return bootstrap;
 }
 
-RandomForest RandomForest::train(const Dataset& data, const ForestOptions& options) {
-  if (data.empty()) throw std::invalid_argument("RandomForest::train: empty dataset");
-  RandomForest forest;
-  forest.options_ = options;
-
-  TreeOptions tree_options = options.tree;
-  tree_options.features_per_split =
-      options.features_per_split > 0
-          ? options.features_per_split
-          : default_features_per_split(data.num_features());
-
-  forest.trees_.reserve(options.num_trees);
-  for (std::size_t t = 0; t < options.num_trees; ++t) {
-    dm::util::Rng tree_rng(tree_stream_seed(options.seed, t));
-    const auto bootstrap = bootstrap_sample(data.size(), options, tree_rng);
-    forest.trees_.push_back(
-        DecisionTree::train(data, bootstrap, tree_options, tree_rng));
-  }
-  return forest;
-}
-
 RandomForest RandomForest::assemble(std::vector<DecisionTree> trees,
                                     const ForestOptions& options) {
   RandomForest forest;
   forest.options_ = options;
   forest.trees_ = std::move(trees);
   return forest;
-}
-
-double RandomForest::predict_proba(std::span<const double> features) const {
-  if (trees_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& tree : trees_) {
-    if (options_.combination == Combination::kProbabilityAveraging) {
-      sum += tree.predict_proba(features);
-    } else {
-      sum += tree.predict(features) == kInfection ? 1.0 : 0.0;
-    }
-  }
-  return sum / static_cast<double>(trees_.size());
-}
-
-int RandomForest::predict(std::span<const double> features, double threshold) const {
-  return predict_proba(features) >= threshold ? kInfection : kBenign;
 }
 
 }  // namespace dm::ml

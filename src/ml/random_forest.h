@@ -5,10 +5,13 @@
 // AVERAGING per-tree probabilistic predictions instead of majority voting,
 // which the paper argues reduces variance on internally-variable WCG data.
 // Majority voting is retained as an option for the design ablation bench.
+//
+// RandomForest is the trained artifact: the trees as training grew them,
+// the options that grew them, and the serving layer's version stamp.  It is
+// what the model file persists.  ml::train_forest_parallel builds it, and
+// ml::FlatForest compiles it into the form every score is computed with.
 #pragma once
 
-#include <cmath>
-#include <span>
 #include <vector>
 
 #include "ml/decision_tree.h"
@@ -48,40 +51,19 @@ std::uint64_t tree_stream_seed(std::uint64_t seed, std::size_t tree) noexcept;
 
 /// The bootstrap sample (row indices, duplicates expected) tree `tree`
 /// trains on; consumes the leading draws of that tree's RNG stream.  Shared
-/// by the sequential and parallel trainers so both paths sample identically.
+/// by ml::train_forest_parallel and the test suite's sequential reference
+/// trainer (tests/reference_forest.h), so both sample identically.
 std::vector<std::size_t> bootstrap_sample(std::size_t dataset_size,
                                           const ForestOptions& options,
                                           dm::util::Rng& tree_rng);
 
 class RandomForest {
  public:
-  /// Trains Nt trees on bootstrap samples of `data`.  Tree i draws its
-  /// bootstrap and split randomness from the counter-based stream
-  /// tree_stream_seed(options.seed, i), so the result is a pure function of
-  /// (data, options) — ml::train_forest_parallel produces the same forest
-  /// from any thread count.
-  static RandomForest train(const Dataset& data, const ForestOptions& options);
-
-  /// Assembly seam for the parallel trainer: wraps already-trained trees
-  /// (tree i trained exactly as train() would have) into a forest carrying
-  /// `options`.
+  /// Wraps trained trees into a forest carrying `options`.  Tree i must
+  /// have been trained on the stream tree_stream_seed(options.seed, i), as
+  /// ml::train_forest_parallel trains it.
   static RandomForest assemble(std::vector<DecisionTree> trees,
                                const ForestOptions& options);
-
-  /// Ensemble positive-class score in [0, 1]: mean per-tree probability
-  /// under kProbabilityAveraging, or the fraction of positive votes under
-  /// kMajorityVote.
-  double predict_proba(std::span<const double> features) const;
-  double predict_proba(std::initializer_list<double> features) const {
-    return predict_proba(std::span<const double>(features.begin(), features.size()));
-  }
-
-  /// Hard decision at `threshold` on the ensemble score.
-  int predict(std::span<const double> features, double threshold = 0.5) const;
-  int predict(std::initializer_list<double> features, double threshold = 0.5) const {
-    return predict(std::span<const double>(features.begin(), features.size()),
-                   threshold);
-  }
 
   std::size_t num_trees() const noexcept { return trees_.size(); }
   const std::vector<DecisionTree>& trees() const noexcept { return trees_; }

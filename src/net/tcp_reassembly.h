@@ -74,12 +74,16 @@ struct TcpFlow {
   bool closed = false;  // FIN or RST observed from either side
 };
 
-/// Names a flow's client from the flow's first captured packet: its sender,
-/// unless it is a SYN-ACK, whose receiver sent the SYN the capture began
-/// after.  TcpReassembler and the run count of http::transactions_from_pcap
-/// share this rule, so that count's reservation stays exact.
+/// Names a flow's client from the flow's first captured packet.  A SYN's
+/// sender is the client, and a SYN-ACK's receiver, who sent the SYN the
+/// capture began after.  Any other packet may come from either end of a
+/// connection captured mid-stream, so the end with the lower port is the
+/// server; with equal ports the sender stays the client.  TcpReassembler
+/// and the run count of http::transactions_from_pcap share this rule, so
+/// that count's reservation stays exact.
 inline bool first_sender_is_client(const ParsedPacket& first) noexcept {
-  return !(first.flags.syn && first.flags.ack);
+  if (first.flags.syn) return !first.flags.ack;
+  return first.src_port >= first.dst_port;
 }
 
 /// Robustness limits for adversarial streams.  The defaults are far above

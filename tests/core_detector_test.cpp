@@ -100,7 +100,7 @@ static_assert(requires(const Detector& d, const Wcg& w) {
   d.is_infection(w);
   d.threshold();
 });
-static_assert(requires(const dm::ml::RandomForest& f,
+static_assert(requires(const dm::ml::FlatForest& f,
                        std::span<const double> x) {
   f.predict_proba(x);
   f.predict(x);

@@ -425,6 +425,53 @@ TEST(FlowAtATimeReconstructionTest, FlowsOpeningAtTheSynAckMatchTheOracle) {
   EXPECT_EQ(expect_matches_oracle(capture, "SYN-ACK first"), 4u);
 }
 
+TEST(FlowAtATimeReconstructionTest, FlowCapturedFromInsideAResponseKeepsItsClient) {
+  // One keep-alive connection: GET /a answered with a 5,000-byte body, then
+  // GET /b.  The capture is cut at the second segment of /a's response, so
+  // the flow's first packet is server data.  The lower port names the
+  // server: GET /b survives, from its real client, and goes unanswered
+  // because the server's stream opens mid-body (one bad status line).
+  const std::uint64_t start = 1'600'000'000ULL * 1'000'000;
+  const auto server = dm::net::Ipv4Address::from_octets(93, 184, 216, 34);
+  dm::net::TcpConversationBuilder conn(
+      dm::net::Ipv4Address::from_octets(10, 0, 0, 5), 40400, server, 80);
+  const auto get = [](const std::string& uri) {
+    dm::http::HttpRequest req;
+    req.method = "GET";
+    req.uri = uri;
+    req.headers.add("Host", "cut.example");
+    return dm::synth::render_request(req);
+  };
+  dm::http::HttpResponse big;
+  big.status_code = 200;
+  big.headers.add("Content-Type", "text/html");
+  big.body.assign(5'000, 'b');
+  conn.handshake(start);
+  conn.client_send(start + 2'000, get("/a"));
+  conn.server_send(start + 3'000, dm::synth::render_response(big));
+  conn.client_send(start + 10'000, get("/b"));
+  conn.server_send(start + 11'000, response(1));
+  conn.teardown(start + 12'000);
+  auto packets = conn.take_packets();
+  std::size_t server_data = 0;
+  const auto cut = std::find_if(packets.begin(), packets.end(), [&](const auto& pkt) {
+    const auto parsed = dm::net::parse_ethernet_ipv4_tcp(pkt.data);
+    return parsed->src_port == 80 && !parsed->payload.empty() && ++server_data == 2;
+  });
+  ASSERT_NE(cut, packets.end());
+  const PcapFile capture{1, std::vector<dm::net::PcapPacket>(cut, packets.end())};
+
+  dm::util::FaultStats faults;
+  const auto txns = dm::http::transactions_from_pcap(capture, &faults);
+  ASSERT_EQ(txns.size(), 1u) << faults.snapshot().summary();
+  EXPECT_EQ(txns[0].client_host, "10.0.0.5");
+  EXPECT_EQ(txns[0].request.uri, "/b");
+  EXPECT_FALSE(txns[0].response.has_value());
+  EXPECT_EQ(faults.count(dm::util::DecodeErrorCode::kHttpBadStatusLine), 1u);
+  EXPECT_EQ(faults.total(), 1u) << faults.snapshot().summary();
+  EXPECT_EQ(expect_matches_oracle(capture, "server data first"), 1u);
+}
+
 TEST(FlowAtATimeReconstructionTest, FenceFailsWhenTheOracleMissesAPayloadPacket) {
   // The oracle is fed the capture minus one payload packet: the fence's
   // comparison must object.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_forest.h"
+
 namespace dm::ml {
 namespace {
 
@@ -19,10 +21,10 @@ TEST(DecisionTreeTest, LearnsSeparableData) {
   const auto data = separable(20);
   dm::util::Rng rng(1);
   const auto tree = DecisionTree::train(data, {}, rng);
-  EXPECT_EQ(tree.predict({5.0, 0.5}), kBenign);
-  EXPECT_EQ(tree.predict({110.0, 0.5}), kInfection);
-  EXPECT_LT(tree.predict_proba({0.0, 0.5}), 0.5);
-  EXPECT_GT(tree.predict_proba({150.0, 0.5}), 0.5);
+  EXPECT_EQ(reference::predict(tree, {5.0, 0.5}), kBenign);
+  EXPECT_EQ(reference::predict(tree, {110.0, 0.5}), kInfection);
+  EXPECT_LT(reference::predict_proba(tree, {0.0, 0.5}), 0.5);
+  EXPECT_GT(reference::predict_proba(tree, {150.0, 0.5}), 0.5);
 }
 
 TEST(DecisionTreeTest, PureLeafOnUniformLabels) {
@@ -31,14 +33,14 @@ TEST(DecisionTreeTest, PureLeafOnUniformLabels) {
   dm::util::Rng rng(2);
   const auto tree = DecisionTree::train(data, {}, rng);
   EXPECT_EQ(tree.node_count(), 1u);
-  EXPECT_DOUBLE_EQ(tree.predict_proba({3.0}), 1.0);
+  EXPECT_DOUBLE_EQ(reference::predict_proba(tree, {3.0}), 1.0);
 }
 
 TEST(DecisionTreeTest, EmptyTrainingSetPredictsBenign) {
   Dataset data({"x"});
   dm::util::Rng rng(3);
   const auto tree = DecisionTree::train(data, {}, rng);
-  EXPECT_EQ(tree.predict({1.0}), kBenign);
+  EXPECT_EQ(reference::predict(tree, {1.0}), kBenign);
 }
 
 TEST(DecisionTreeTest, MaxDepthLimitsGrowth) {
@@ -59,8 +61,8 @@ TEST(DecisionTreeTest, MaxDepthLimitsGrowth) {
   TreeOptions deep;
   deep.max_depth = 4;
   const auto tree = DecisionTree::train(data, deep, rng);
-  EXPECT_EQ(tree.predict({0.0, 1.0}), kInfection);
-  EXPECT_EQ(tree.predict({1.0, 1.0}), kBenign);
+  EXPECT_EQ(reference::predict(tree, {0.0, 1.0}), kInfection);
+  EXPECT_EQ(reference::predict(tree, {1.0, 1.0}), kBenign);
 }
 
 TEST(DecisionTreeTest, MinSamplesLeafRespected) {
@@ -72,7 +74,7 @@ TEST(DecisionTreeTest, MinSamplesLeafRespected) {
   dm::util::Rng rng(5);
   const auto tree = DecisionTree::train(data, options, rng);
   EXPECT_EQ(tree.node_count(), 1u);
-  EXPECT_DOUBLE_EQ(tree.predict_proba({0.5}), 0.5);
+  EXPECT_DOUBLE_EQ(reference::predict_proba(tree, {0.5}), 0.5);
 }
 
 TEST(DecisionTreeTest, DuplicateFeatureValuesNotSplit) {
@@ -82,7 +84,7 @@ TEST(DecisionTreeTest, DuplicateFeatureValuesNotSplit) {
   dm::util::Rng rng(6);
   const auto tree = DecisionTree::train(data, {}, rng);
   EXPECT_EQ(tree.node_count(), 1u);
-  EXPECT_DOUBLE_EQ(tree.predict_proba({7.0}), 0.5);
+  EXPECT_DOUBLE_EQ(reference::predict_proba(tree, {7.0}), 0.5);
 }
 
 TEST(DecisionTreeTest, TrainOnBootstrapIndices) {
@@ -91,7 +93,7 @@ TEST(DecisionTreeTest, TrainOnBootstrapIndices) {
   std::vector<std::size_t> indices{0, 0, 2, 2, 4, 4};
   dm::util::Rng rng(7);
   const auto tree = DecisionTree::train(data, indices, {}, rng);
-  EXPECT_DOUBLE_EQ(tree.predict_proba({0.0, 0.5}), 0.0);
+  EXPECT_DOUBLE_EQ(reference::predict_proba(tree, {0.0, 0.5}), 0.0);
 }
 
 TEST(DecisionTreeTest, FeatureSubsamplingStillLearns) {
@@ -102,8 +104,8 @@ TEST(DecisionTreeTest, FeatureSubsamplingStillLearns) {
   const auto tree = DecisionTree::train(data, options, rng);
   // With 2 features and 1 sampled per split, retries deeper in the tree
   // still find the informative one.
-  EXPECT_EQ(tree.predict({0.0, 0.5}), kBenign);
-  EXPECT_EQ(tree.predict({150.0, 0.5}), kInfection);
+  EXPECT_EQ(reference::predict(tree, {0.0, 0.5}), kBenign);
+  EXPECT_EQ(reference::predict(tree, {150.0, 0.5}), kInfection);
 }
 
 class TreeGeneralizationTest : public ::testing::TestWithParam<std::size_t> {};
@@ -112,8 +114,8 @@ TEST_P(TreeGeneralizationTest, SeparableDataAlwaysLearned) {
   const auto data = separable(GetParam());
   dm::util::Rng rng(9);
   const auto tree = DecisionTree::train(data, {}, rng);
-  EXPECT_EQ(tree.predict({-5.0, 0.5}), kBenign);
-  EXPECT_EQ(tree.predict({500.0, 0.5}), kInfection);
+  EXPECT_EQ(reference::predict(tree, {-5.0, 0.5}), kBenign);
+  EXPECT_EQ(reference::predict(tree, {500.0, 0.5}), kInfection);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TreeGeneralizationTest,

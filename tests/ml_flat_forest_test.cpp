@@ -1,7 +1,7 @@
 // Golden-equivalence suite for the flattened ERF: FlatForest must score
-// bit-identically to the pointer-based RandomForest it was compiled from —
-// the contract that lets Detector swap representations under the hot path
-// without perturbing a single verdict.
+// bit-identically to the pointer walk over the RandomForest it was compiled
+// from (tests/reference_forest.h), the oracle that shares no code with the
+// arena — the contract that lets every score go through FlatForest.
 #include "ml/flat_forest.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,9 @@
 #include <sstream>
 #include <vector>
 
+#include "ml/parallel_trainer.h"
 #include "ml/serialization.h"
+#include "reference_forest.h"
 #include "util/rng.h"
 
 namespace dm::ml {
@@ -57,15 +59,15 @@ TEST(FlatForestTest, BitIdenticalToPointerForestOnRandomVectors) {
   ForestOptions options;
   options.num_trees = 20;
   options.seed = 7;
-  const auto forest = RandomForest::train(data, options);
+  const auto forest = train_forest_parallel(data, options);
   const auto flat = FlatForest::compile(forest);
   EXPECT_EQ(flat.num_trees(), forest.num_trees());
 
   dm::util::Rng rng(12);
   for (int i = 0; i < 2000; ++i) {
     const auto x = random_vector(8, rng);
-    EXPECT_TRUE(same_bits(flat.predict_proba(x), forest.predict_proba(x)));
-    EXPECT_EQ(flat.predict(x, 0.35), forest.predict(x, 0.35));
+    EXPECT_TRUE(same_bits(flat.predict_proba(x), reference::predict_proba(forest, x)));
+    EXPECT_EQ(flat.predict(x, 0.35), reference::predict(forest, x, 0.35));
   }
 }
 
@@ -75,13 +77,33 @@ TEST(FlatForestTest, BitIdenticalUnderMajorityVote) {
   options.num_trees = 15;
   options.seed = 9;
   options.combination = Combination::kMajorityVote;
-  const auto forest = RandomForest::train(data, options);
+  const auto forest = train_forest_parallel(data, options);
   const auto flat = FlatForest::compile(forest);
 
   dm::util::Rng rng(22);
   for (int i = 0; i < 1000; ++i) {
     const auto x = random_vector(6, rng);
-    EXPECT_TRUE(same_bits(flat.predict_proba(x), forest.predict_proba(x)));
+    EXPECT_TRUE(same_bits(flat.predict_proba(x), reference::predict_proba(forest, x)));
+  }
+}
+
+TEST(FlatForestTest, BitIdenticalWithMixedLeaves) {
+  // Depth-limited trees keep mixed leaves, so the per-tree probabilities
+  // are fractions and their sum depends on the order the trees are added
+  // in.  Fully grown trees end in pure leaves, whose sums are exact.
+  const auto data = random_dataset(300, 8, 61);
+  ForestOptions options;
+  options.num_trees = 20;
+  options.seed = 23;
+  options.tree.max_depth = 4;
+  options.tree.min_samples_leaf = 5;
+  const auto forest = train_forest_parallel(data, options);
+  const auto flat = FlatForest::compile(forest);
+
+  dm::util::Rng rng(62);
+  for (int i = 0; i < 1000; ++i) {
+    const auto x = random_vector(8, rng);
+    EXPECT_TRUE(same_bits(flat.predict_proba(x), reference::predict_proba(forest, x)));
   }
 }
 
@@ -90,7 +112,7 @@ TEST(FlatForestTest, NanFeaturesFollowTheSameBranch) {
   ForestOptions options;
   options.num_trees = 10;
   options.seed = 13;
-  const auto forest = RandomForest::train(data, options);
+  const auto forest = train_forest_parallel(data, options);
   const auto flat = FlatForest::compile(forest);
 
   dm::util::Rng rng(32);
@@ -101,7 +123,7 @@ TEST(FlatForestTest, NanFeaturesFollowTheSameBranch) {
         std::numeric_limits<double>::quiet_NaN();
     x[(static_cast<std::size_t>(i) + 2) % x.size()] =
         std::numeric_limits<double>::quiet_NaN();
-    EXPECT_TRUE(same_bits(flat.predict_proba(x), forest.predict_proba(x)));
+    EXPECT_TRUE(same_bits(flat.predict_proba(x), reference::predict_proba(forest, x)));
   }
 }
 
@@ -113,7 +135,7 @@ TEST(FlatForestTest, SerializedRoundtripCompilesToIdenticalScores) {
   ForestOptions options;
   options.num_trees = 12;
   options.seed = 17;
-  const auto forest = RandomForest::train(data, options);
+  const auto forest = train_forest_parallel(data, options);
 
   std::stringstream buffer;
   save_forest(forest, buffer);
@@ -123,7 +145,7 @@ TEST(FlatForestTest, SerializedRoundtripCompilesToIdenticalScores) {
   dm::util::Rng rng(42);
   for (int i = 0; i < 1000; ++i) {
     const auto x = random_vector(8, rng);
-    EXPECT_TRUE(same_bits(flat.predict_proba(x), forest.predict_proba(x)));
+    EXPECT_TRUE(same_bits(flat.predict_proba(x), reference::predict_proba(forest, x)));
   }
 }
 
@@ -133,7 +155,7 @@ TEST(FlatForestTest, EmptyForestScoresZeroLikeSource) {
   EXPECT_EQ(flat.num_trees(), 0u);
   EXPECT_EQ(flat.node_count(), 0u);
   const std::vector<double> x(4, 1.0);
-  EXPECT_TRUE(same_bits(flat.predict_proba(x), empty.predict_proba(x)));
+  EXPECT_TRUE(same_bits(flat.predict_proba(x), reference::predict_proba(empty, x)));
   EXPECT_TRUE(same_bits(flat.predict_proba(x), 0.0));
 }
 
@@ -142,7 +164,7 @@ TEST(FlatForestTest, ArenaIsOneLeafPerEmptyTreeAndBfsOtherwise) {
   ForestOptions options;
   options.num_trees = 5;
   options.seed = 19;
-  const auto forest = RandomForest::train(data, options);
+  const auto forest = train_forest_parallel(data, options);
   const auto flat = FlatForest::compile(forest);
   std::size_t expected = 0;
   for (const auto& tree : forest.trees()) expected += tree.nodes().size();

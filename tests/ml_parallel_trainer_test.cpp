@@ -1,8 +1,9 @@
 // Differential suite for the parallel deterministic Stage-1 trainer:
-// parallel and sequential training must produce byte-identical forests at
-// every thread count (the counter-based per-tree RNG-stream contract), the
-// fan-out dataset extraction must be row-identical, and every seed-default
-// path must resolve to the one documented training seed.
+// parallel training must produce forests byte-identical to the test-side
+// sequential trainer (tests/reference_forest.h) at every thread count (the
+// counter-based per-tree RNG-stream contract), the fan-out dataset
+// extraction must be row-identical, and every seed-default path must
+// resolve to the one documented training seed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,8 +12,10 @@
 #include "core/trainer.h"
 #include "core/wcg_builder.h"
 #include "ml/cross_validation.h"
+#include "ml/flat_forest.h"
 #include "ml/parallel_trainer.h"
 #include "ml/serialization.h"
+#include "reference_forest.h"
 #include "synth/dataset.h"
 #include "util/rng.h"
 
@@ -47,7 +50,7 @@ TEST(ParallelTrainerTest, ForestsByteIdenticalAcrossThreadCounts) {
   const auto data = synth_dataset(11);
   ForestOptions options;
   options.seed = 1234;
-  const auto sequential = RandomForest::train(data, options);
+  const auto sequential = reference::train(data, options);
   const std::string golden = serialized(sequential);
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -61,9 +64,11 @@ TEST(ParallelTrainerTest, PredictProbaAgreesOnRandomVectorsAtEveryThreadCount) {
   const auto data = synth_dataset(12);
   ForestOptions options;
   options.seed = 77;
-  const auto sequential = RandomForest::train(data, options);
-  const auto two = train_forest_parallel(data, options, {.threads = 2});
-  const auto eight = train_forest_parallel(data, options, {.threads = 8});
+  const auto sequential = FlatForest::compile(reference::train(data, options));
+  const auto two =
+      FlatForest::compile(train_forest_parallel(data, options, {.threads = 2}));
+  const auto eight =
+      FlatForest::compile(train_forest_parallel(data, options, {.threads = 8}));
 
   dm::util::Rng rng(99);
   for (int i = 0; i < 1000; ++i) {

@@ -12,6 +12,7 @@
 #include "ml/parallel_trainer.h"
 #include "ml/random_forest.h"
 #include "ml/serialization.h"
+#include "reference_forest.h"
 #include "util/rng.h"
 
 namespace dm::ml {
@@ -39,7 +40,7 @@ class RandomDatasetTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomDatasetTest, ForestScoresAlwaysProbabilities) {
   const auto data = random_dataset(GetParam(), 150, 5, 2.0);
-  const auto forest = RandomForest::train(data, {});
+  const auto forest = FlatForest::compile(train_forest_parallel(data, {}));
   dm::util::Rng rng(GetParam() ^ 0xf);
   for (int i = 0; i < 200; ++i) {
     std::vector<double> x;
@@ -80,7 +81,7 @@ TEST_P(RandomDatasetTest, GainRatioWithinUnitInterval) {
 
 TEST_P(RandomDatasetTest, RocAucInvariantToMonotoneScoreTransform) {
   const auto data = random_dataset(GetParam(), 200, 3, 2.0);
-  const auto forest = RandomForest::train(data, {});
+  const auto forest = FlatForest::compile(train_forest_parallel(data, {}));
   std::vector<int> labels;
   std::vector<double> scores;
   std::vector<double> squashed;
@@ -175,7 +176,7 @@ TEST_P(RandomDatasetTest, SeededForestsReproducibleAcrossRunsAndThreads) {
   options.seed = GetParam();
   const auto first = train_forest_parallel(data, options, {.threads = 4});
   const auto second = train_forest_parallel(data, options, {.threads = 4});
-  const auto sequential = RandomForest::train(data, options);
+  const auto sequential = train_forest_parallel(data, options);
   EXPECT_EQ(serialized(first), serialized(second));
   EXPECT_EQ(serialized(first), serialized(sequential));
 }
@@ -203,7 +204,7 @@ TEST_P(RandomDatasetTest, FlatForestBitIdenticalToParallelTrainedForest) {
   for (int i = 0; i < 300; ++i) {
     std::vector<double> x;
     for (int f = 0; f < 5; ++f) x.push_back(rng.uniform(-8, 8));
-    EXPECT_EQ(flat.predict_proba(x), forest.predict_proba(x));
+    EXPECT_EQ(flat.predict_proba(x), reference::predict_proba(forest, x));
   }
 }
 

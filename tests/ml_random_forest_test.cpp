@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "ml/flat_forest.h"
+#include "ml/parallel_trainer.h"
 #include "util/rng.h"
 
 namespace dm::ml {
@@ -31,14 +33,14 @@ TEST(RandomForestTest, DefaultNfMatchesPaperFormula) {
 
 TEST(RandomForestTest, ThrowsOnEmptyDataset) {
   Dataset data({"x"});
-  EXPECT_THROW(RandomForest::train(data, {}), std::invalid_argument);
+  EXPECT_THROW(train_forest_parallel(data, {}), std::invalid_argument);
 }
 
 TEST(RandomForestTest, TrainsRequestedTreeCount) {
   const auto data = noisy_separable(100, 1);
   ForestOptions options;
   options.num_trees = 7;
-  const auto forest = RandomForest::train(data, options);
+  const auto forest = train_forest_parallel(data, options);
   EXPECT_EQ(forest.num_trees(), 7u);
 }
 
@@ -47,7 +49,7 @@ TEST(RandomForestTest, ClassifiesNoisySeparableData) {
   ForestOptions options;
   options.num_trees = 20;
   options.seed = 3;
-  const auto forest = RandomForest::train(data, options);
+  const auto forest = FlatForest::compile(train_forest_parallel(data, options));
   int correct = 0;
   dm::util::Rng rng(4);
   for (int i = 0; i < 200; ++i) {
@@ -64,8 +66,8 @@ TEST(RandomForestTest, DeterministicForSameSeed) {
   const auto data = noisy_separable(100, 5);
   ForestOptions options;
   options.seed = 77;
-  const auto f1 = RandomForest::train(data, options);
-  const auto f2 = RandomForest::train(data, options);
+  const auto f1 = FlatForest::compile(train_forest_parallel(data, options));
+  const auto f2 = FlatForest::compile(train_forest_parallel(data, options));
   dm::util::Rng rng(6);
   for (int i = 0; i < 50; ++i) {
     const std::vector<double> x{rng.uniform(-5, 15), rng.normal(0, 1),
@@ -82,8 +84,8 @@ TEST(RandomForestTest, ProbabilityAveragingIsSmootherThanVoting) {
   ForestOptions voting = averaging;
   voting.combination = Combination::kMajorityVote;
 
-  const auto forest_avg = RandomForest::train(data, averaging);
-  const auto forest_vote = RandomForest::train(data, voting);
+  const auto forest_avg = FlatForest::compile(train_forest_parallel(data, averaging));
+  const auto forest_vote = FlatForest::compile(train_forest_parallel(data, voting));
 
   // Voting scores are quantized to k/num_trees; averaging scores take many
   // more distinct values across a probe set.
@@ -102,7 +104,7 @@ TEST(RandomForestTest, ProbabilityAveragingIsSmootherThanVoting) {
 
 TEST(RandomForestTest, ScoresAreProbabilities) {
   const auto data = noisy_separable(100, 10);
-  const auto forest = RandomForest::train(data, {});
+  const auto forest = FlatForest::compile(train_forest_parallel(data, {}));
   dm::util::Rng rng(11);
   for (int i = 0; i < 100; ++i) {
     const std::vector<double> x{rng.uniform(-20, 30), rng.uniform(-5, 5),
@@ -115,7 +117,7 @@ TEST(RandomForestTest, ScoresAreProbabilities) {
 
 TEST(RandomForestTest, ThresholdShiftsDecisions) {
   const auto data = noisy_separable(200, 12);
-  const auto forest = RandomForest::train(data, {});
+  const auto forest = FlatForest::compile(train_forest_parallel(data, {}));
   const std::vector<double> borderline{5.0, 0.0, 2.5};
   const double p = forest.predict_proba(borderline);
   EXPECT_EQ(forest.predict(borderline, p - 0.01), kInfection);
@@ -129,7 +131,7 @@ TEST_P(ForestSizeTest, AccuracyHoldsAcrossSizes) {
   ForestOptions options;
   options.num_trees = GetParam();
   options.seed = 14;
-  const auto forest = RandomForest::train(data, options);
+  const auto forest = FlatForest::compile(train_forest_parallel(data, options));
   int correct = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
     correct += forest.predict(data.row(i)) == data.label(i);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "ml/flat_forest.h"
 #include "ml/parallel_trainer.h"
 #include "util/rng.h"
 
@@ -25,18 +26,20 @@ Dataset training_data(std::uint64_t seed, std::size_t n = 200) {
 
 TEST(SerializationTest, RoundTripPreservesEveryScore) {
   const auto data = training_data(1);
-  const auto forest = RandomForest::train(data, {});
+  const auto forest = train_forest_parallel(data, {});
   std::stringstream buffer;
   save_forest(forest, buffer);
   const auto loaded = load_forest(buffer);
 
   ASSERT_EQ(loaded.num_trees(), forest.num_trees());
+  const auto flat = FlatForest::compile(forest);
+  const auto loaded_flat = FlatForest::compile(loaded);
   dm::util::Rng rng(2);
   for (int i = 0; i < 500; ++i) {
     const std::vector<double> x{rng.uniform(-10, 10), rng.uniform(-5, 5),
                                 rng.uniform(-10, 10)};
     // Hex-float serialization must round-trip bit-exactly.
-    EXPECT_EQ(forest.predict_proba(x), loaded.predict_proba(x));
+    EXPECT_EQ(flat.predict_proba(x), loaded_flat.predict_proba(x));
   }
 }
 
@@ -44,7 +47,7 @@ TEST(SerializationTest, CombinationModePreserved) {
   const auto data = training_data(3);
   ForestOptions options;
   options.combination = Combination::kMajorityVote;
-  const auto forest = RandomForest::train(data, options);
+  const auto forest = train_forest_parallel(data, options);
   std::stringstream buffer;
   save_forest(forest, buffer);
   const auto loaded = load_forest(buffer);
@@ -54,12 +57,12 @@ TEST(SerializationTest, CombinationModePreserved) {
 TEST(SerializationTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/dm_forest_test.model";
   const auto data = training_data(4);
-  const auto forest = RandomForest::train(data, {});
+  const auto forest = train_forest_parallel(data, {});
   save_forest_file(forest, path);
   const auto loaded = load_forest_file(path);
   EXPECT_EQ(loaded.num_trees(), forest.num_trees());
-  EXPECT_EQ(forest.predict_proba({5.0, 0.0, 0.0}),
-            loaded.predict_proba({5.0, 0.0, 0.0}));
+  EXPECT_EQ(FlatForest::compile(forest).predict_proba({5.0, 0.0, 0.0}),
+            FlatForest::compile(loaded).predict_proba({5.0, 0.0, 0.0}));
   std::remove(path.c_str());
 }
 
@@ -76,7 +79,7 @@ TEST(SerializationTest, RoundTripPreservesEveryForestOption) {
   options.tree.max_depth = 9;
   options.tree.min_samples_split = 4;
   options.tree.min_samples_leaf = 2;
-  const auto forest = RandomForest::train(data, options);
+  const auto forest = train_forest_parallel(data, options);
 
   std::stringstream buffer;
   save_forest(forest, buffer);
@@ -104,11 +107,13 @@ TEST(SerializationTest, ParallelTrainedForestRoundTripsByteIdentically) {
   const auto loaded = load_forest(buffer);
 
   // Identical scores on random vectors...
+  const auto flat = FlatForest::compile(forest);
+  const auto loaded_flat = FlatForest::compile(loaded);
   dm::util::Rng rng(8);
   for (int i = 0; i < 500; ++i) {
     const std::vector<double> x{rng.uniform(-10, 10), rng.uniform(-5, 5),
                                 rng.uniform(-10, 10)};
-    EXPECT_EQ(forest.predict_proba(x), loaded.predict_proba(x));
+    EXPECT_EQ(flat.predict_proba(x), loaded_flat.predict_proba(x));
   }
   // ...and a byte-identical second serialization (options included).
   std::stringstream again;
@@ -147,7 +152,7 @@ TEST(SerializationTest, RejectsWrongVersion) {
 
 TEST(SerializationTest, RejectsTruncation) {
   const auto data = training_data(5);
-  const auto forest = RandomForest::train(data, {});
+  const auto forest = train_forest_parallel(data, {});
   std::stringstream buffer;
   save_forest(forest, buffer);
   const std::string full = buffer.str();
@@ -180,7 +185,7 @@ TEST(SerializationTest, RejectsUnknownCombination) {
 
 TEST(SerializationTest, ModelVersionTrailerRoundTrips) {
   const auto data = training_data(6);
-  auto forest = RandomForest::train(data, {});
+  auto forest = train_forest_parallel(data, {});
   std::stringstream unstamped;
   save_forest(forest, unstamped);
   // Version 0 writes no trailer: stamped-then-cleared output must stay
@@ -195,18 +200,20 @@ TEST(SerializationTest, ModelVersionTrailerRoundTrips) {
   const auto loaded = load_forest(stamped);
   EXPECT_EQ(loaded.model_version(), 7u);
   // The stamp is provenance metadata only — scores are untouched.
+  const auto flat = FlatForest::compile(forest);
+  const auto loaded_flat = FlatForest::compile(loaded);
   dm::util::Rng rng(8);
   for (int i = 0; i < 50; ++i) {
     const std::vector<double> x{rng.uniform(-10, 10), rng.uniform(-5, 5),
                                 rng.uniform(-10, 10)};
-    EXPECT_EQ(forest.predict_proba(x), loaded.predict_proba(x));
+    EXPECT_EQ(flat.predict_proba(x), loaded_flat.predict_proba(x));
   }
 }
 
 TEST(SerializationTest, AbsentTrailerLoadsAsVersionZero) {
   // A v2 artifact written before the serving layer existed: no trailer.
   const auto data = training_data(9);
-  const auto forest = RandomForest::train(data, {});
+  const auto forest = train_forest_parallel(data, {});
   std::stringstream buffer;
   save_forest(forest, buffer);
   EXPECT_EQ(load_forest(buffer).model_version(), 0u);
@@ -217,7 +224,7 @@ TEST(SerializationTest, EmptyForestRoundTrips) {
   std::stringstream buffer("dynaminer-forest v1\ntrees 0 combination avg\n");
   const auto loaded = load_forest(buffer);
   EXPECT_EQ(loaded.num_trees(), 0u);
-  EXPECT_EQ(loaded.predict_proba({1.0}), 0.0);
+  EXPECT_EQ(FlatForest::compile(loaded).predict_proba({1.0}), 0.0);
 }
 
 }  // namespace

@@ -143,6 +143,31 @@ TEST(TcpReassemblyTest, LeadingSynAckNamesItsReceiverTheClient) {
   EXPECT_EQ(flows[0]->server_to_client.data, "HTTP/1.1 200 OK\r\n");
 }
 
+TEST(TcpReassemblyTest, LeadingServerDataNamesTheLowerPortTheServer) {
+  // The capture began inside a response: the server's data segment comes
+  // first.  Its sender holds the lower port, so its receiver is the client.
+  TcpReassembler r;
+  r.ingest(data_packet(kServer, 80, kClient, 40000, 6400, "body tail"), 1);
+  r.ingest(data_packet(kClient, 40000, kServer, 80, 120, "GET /b HTTP/1.1\r\n\r\n"), 2);
+  r.ingest(data_packet(kServer, 80, kClient, 40000, 6409, "HTTP/1.1 200 OK\r\n"), 3);
+  const auto flows = r.flows();
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows[0]->client_ip, kClient);
+  EXPECT_EQ(flows[0]->client_port, 40000);
+  EXPECT_EQ(flows[0]->server_ip, kServer);
+  EXPECT_EQ(flows[0]->server_port, 80);
+  EXPECT_FALSE(flows[0]->saw_syn);
+  EXPECT_EQ(flows[0]->client_to_server.data, "GET /b HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(flows[0]->server_to_client.data, "body tailHTTP/1.1 200 OK\r\n");
+
+  // With equal ports the port rule cannot tell: the sender stays the client.
+  TcpReassembler peers;
+  peers.ingest(data_packet(kServer, 5000, kClient, 5000, 1, "ping"), 1);
+  ASSERT_EQ(peers.flows().size(), 1u);
+  EXPECT_EQ(peers.flows()[0]->client_ip, kServer);
+  EXPECT_EQ(peers.flows()[0]->client_to_server.data, "ping");
+}
+
 TEST(TcpReassemblyTest, TimestampsTrackChunks) {
   TcpReassembler r;
   r.ingest(data_packet(kClient, 40000, kServer, 80, 100, "", {.syn = true}), 10);

@@ -5,8 +5,9 @@
 // It is the slowest faithful reading of the paper.  On every transaction it
 // scans all sessions to group it.  On every post-clue update it rebuilds the
 // potential-infection WCG from the session's whole log with
-// WcgBuilder::build(), extracts features without a cache, and scores with
-// the pointer RandomForest; it never skips a query.  It shares no code with
+// WcgBuilder::build(), extracts features without a cache, and scores the
+// detector's trained RandomForest with the pointer walk of
+// reference_forest.h; it never skips a query.  It shares no code with
 // the engine's scope maintenance, unchanged-scope skip, FeatureCache,
 // FlatForest, range-scan session lookup or LRU expiry walk, so agreement is
 // evidence that each of those shortcuts is exact.  Session budgets, fault
@@ -30,6 +31,7 @@
 #include "http/classify.h"
 #include "http/redirect_miner.h"
 #include "http/session.h"
+#include "reference_forest.h"
 
 namespace dm::core::reference {
 
@@ -196,7 +198,8 @@ class ReferenceOnline {
     }
     const Wcg wcg = scoped.build();
     if (wcg.node_count() < 2) return false;
-    const double score = forest_.predict_proba(extract_features(wcg));
+    const double score =
+        dm::ml::reference::predict_proba(forest_, extract_features(wcg));
     verdicts_.push_back({txn.request.ts_micros, s.key, score, wcg.edge_count()});
     if (score < options_.decision_threshold) return false;
     Alert alert;
