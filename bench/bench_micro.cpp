@@ -2,14 +2,21 @@
 // stages — pcap parsing, TCP reassembly + HTTP reconstruction, WCG
 // construction, feature extraction (including the graph-metrics sweep), and
 // ERF prediction.  These bound the per-transaction cost of on-the-wire
-// deployment (§V-B).
+// deployment (§V-B).  BM_LoadForest and BM_ShardedEngineStart time the two
+// parts of engine set-up: parsing the shipped model, and starting a 3-shard
+// engine on it.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
+#include <memory>
 
 #include "core/detector.h"
 #include "core/trainer.h"
 #include "core/wcg_builder.h"
 #include "graph/metrics.h"
 #include "http/transaction_stream.h"
+#include "ml/serialization.h"
+#include "runtime/sharded_online.h"
 #include "synth/dataset.h"
 #include "synth/pcap_export.h"
 
@@ -130,6 +137,32 @@ void BM_EndToEndEpisodeScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EndToEndEpisodeScore);
+
+void BM_LoadForest(benchmark::State& state) {
+  for (auto _ : state) {
+    const auto forest = dm::ml::load_forest_file(DM_SHIPPED_MODEL);
+    benchmark::DoNotOptimize(forest.trees().data());
+  }
+}
+BENCHMARK(BM_LoadForest);
+
+void BM_ShardedEngineStart(benchmark::State& state) {
+  // pipebench's set-up minus the model parse: compile the loaded forest and
+  // start three shard workers.  The forest is copied into each Detector
+  // (pipebench moves it); joining the workers is left out of the time.
+  const auto forest = dm::ml::load_forest_file(DM_SHIPPED_MODEL);
+  dm::runtime::ShardedOptions options;
+  options.num_shards = 3;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    auto engine = std::make_unique<dm::runtime::ShardedOnlineEngine>(
+        std::make_shared<const dm::core::Detector>(forest), options);
+    state.SetIterationTime(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
+    engine.reset();
+  }
+}
+BENCHMARK(BM_ShardedEngineStart)->UseManualTime();
 
 }  // namespace
 

@@ -158,9 +158,10 @@ dm::util::Expected<std::string> read_chunked_body(Cursor& cursor) {
   }
 }
 
+constexpr std::string_view kMethods[] = {
+    "GET", "POST", "HEAD", "PUT", "DELETE", "OPTIONS", "PATCH", "TRACE", "CONNECT"};
+
 bool is_known_method(std::string_view m) {
-  static constexpr std::string_view kMethods[] = {
-      "GET", "POST", "HEAD", "PUT", "DELETE", "OPTIONS", "PATCH", "TRACE", "CONNECT"};
   return std::find(std::begin(kMethods), std::end(kMethods), m) != std::end(kMethods);
 }
 
@@ -177,10 +178,51 @@ bool is_status_line(std::string_view line) {
   return code >= 100 && code <= 599;
 }
 
-/// Skips forward to the next line satisfying `looks_like_start`; the cursor
-/// is left AT that line.  False when the stream holds no further start.
-template <typename Pred>
-bool resync(Cursor& cursor, Pred&& looks_like_start) {
+/// Where a status line starts inside `line` after its first byte, or npos:
+/// a response that follows a body with no CRLF at its end shares that
+/// body's last line.  The tail must open with "HTTP/1.<digit> <code>",
+/// checked in place, so a line of repeated anchors costs one pass.
+std::size_t status_line_inside(std::string_view line) {
+  const auto in = [&](std::size_t i, char lo, char hi) {
+    return i < line.size() && line[i] >= lo && line[i] <= hi;
+  };
+  for (auto at = line.find("HTTP/1.", 1); at != std::string_view::npos;
+       at = line.find("HTTP/1.", at + 1)) {
+    const std::size_t code = at + 9;  // "HTTP/1.1 200"
+    if (in(at + 7, '0', '9') && in(at + 8, ' ', ' ') && in(code, '1', '5') &&
+        in(code + 1, '0', '9') && in(code + 2, '0', '9') &&
+        (code + 3 == line.size() || line[code + 3] == ' ')) {
+      return at;
+    }
+  }
+  return std::string_view::npos;
+}
+
+/// The same for a request line, held to a stricter anchor, since a method
+/// name is a common word: the tail must end in " HTTP/1.0" or " HTTP/1.1".
+/// The first method name followed by a space decides: only blanks can lie
+/// between a later one and the version, so no later tail is a request line.
+std::size_t request_line_inside(std::string_view line) {
+  if (!line.ends_with(" HTTP/1.0") && !line.ends_with(" HTTP/1.1")) {
+    return std::string_view::npos;
+  }
+  std::size_t first = std::string_view::npos;
+  for (const auto method : kMethods) {
+    for (auto at = line.find(method, 1); at < first; at = line.find(method, at + 1)) {
+      if (at + method.size() < line.size() && line[at + method.size()] == ' ') first = at;
+    }
+  }
+  return first != std::string_view::npos && is_request_line(line.substr(first))
+             ? first
+             : std::string_view::npos;
+}
+
+/// Skips forward to the next message start: a line satisfying
+/// `looks_like_start`, or the tail of a line that `start_inside` finds.  The
+/// cursor is left AT that start.  False when the stream holds no further
+/// start.
+template <typename Pred, typename Inside>
+bool resync(Cursor& cursor, Pred&& looks_like_start, Inside&& start_inside) {
   while (!cursor.at_end()) {
     const std::size_t at = cursor.pos;
     const auto line = cursor.read_line();
@@ -189,8 +231,20 @@ bool resync(Cursor& cursor, Pred&& looks_like_start) {
       cursor.pos = at;
       return true;
     }
+    if (const auto inside = start_inside(*line); inside != std::string_view::npos) {
+      cursor.pos = at + inside;
+      return true;
+    }
   }
   return false;
+}
+
+bool resync_request(Cursor& cursor) {
+  return resync(cursor, is_request_line, request_line_inside);
+}
+
+bool resync_response(Cursor& cursor) {
+  return resync(cursor, is_status_line, status_line_inside);
 }
 
 }  // namespace
@@ -212,7 +266,8 @@ RequestParseResult parse_requests_ex(const dm::net::DirectionStream& stream,
       // the next plausible request start and keep parsing there.
       quarantine(out.errors, faults, DecodeErrorCode::kHttpBadRequestLine,
                  start, "garbage request line");
-      if (!resync(cursor, is_request_line)) break;
+      cursor.pos = start;  // a request may start inside the garbage line
+      if (!resync_request(cursor)) break;
       continue;
     }
     HttpRequest req;
@@ -233,7 +288,7 @@ RequestParseResult parse_requests_ex(const dm::net::DirectionStream& stream,
         out.errors.push_back(body.error());
         if (faults) faults->record(body.error());
         if (body.error().code == DecodeErrorCode::kHttpBadChunk &&
-            resync(cursor, is_request_line)) {
+            resync_request(cursor)) {
           continue;  // corrupt framing: skip this message, keep the rest
         }
         break;  // truncated: nothing more to salvage
@@ -244,7 +299,7 @@ RequestParseResult parse_requests_ex(const dm::net::DirectionStream& stream,
       if (n < 0) {
         quarantine(out.errors, faults, DecodeErrorCode::kHttpBadContentLength,
                    start, "unparseable Content-Length");
-        if (!resync(cursor, is_request_line)) break;
+        if (!resync_request(cursor)) break;
         continue;
       }
       auto body = cursor.read_bytes(static_cast<std::size_t>(n));
@@ -275,7 +330,8 @@ ResponseParseResult parse_responses_ex(const dm::net::DirectionStream& stream,
     if (!is_status_line(*line)) {
       quarantine(out.errors, faults, DecodeErrorCode::kHttpBadStatusLine,
                  start, "garbage status line");
-      if (!resync(cursor, is_status_line)) break;
+      cursor.pos = start;  // a response may start inside the garbage line
+      if (!resync_response(cursor)) break;
       continue;
     }
     const auto parts = dm::util::split_trimmed(*line, ' ');
@@ -305,7 +361,7 @@ ResponseParseResult parse_responses_ex(const dm::net::DirectionStream& stream,
           out.errors.push_back(body.error());
           if (faults) faults->record(body.error());
           if (body.error().code == DecodeErrorCode::kHttpBadChunk &&
-              resync(cursor, is_status_line)) {
+              resync_response(cursor)) {
             continue;
           }
           break;
@@ -317,7 +373,7 @@ ResponseParseResult parse_responses_ex(const dm::net::DirectionStream& stream,
           quarantine(out.errors, faults,
                      DecodeErrorCode::kHttpBadContentLength, start,
                      "unparseable Content-Length");
-          if (!resync(cursor, is_status_line)) break;
+          if (!resync_response(cursor)) break;
           continue;
         }
         auto body = cursor.read_bytes(static_cast<std::size_t>(n));

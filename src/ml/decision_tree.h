@@ -58,9 +58,10 @@ class DecisionTree {
 
   /// Persistence (format documented in ml/serialization.h).
   void serialize(std::ostream& out) const;
-  static DecisionTree deserialize(std::istream& in);
 
  private:
+  friend class ForestReader;  // ml/serialization.cpp fills a loaded tree
+
   struct SplitCandidate {
     std::size_t feature = 0;
     double threshold = 0.0;

@@ -1,6 +1,8 @@
 #include "ml/flat_forest.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace dm::ml {
 
@@ -49,6 +51,8 @@ FlatForest FlatForest::compile(const RandomForest& forest) {
       } else {
         const auto left_slot = base + static_cast<std::uint32_t>(order.size());
         flat.feature_.push_back(static_cast<std::int32_t>(node.feature));
+        flat.required_features_ =
+            std::max<std::size_t>(flat.required_features_, node.feature + std::size_t{1});
         flat.threshold_.push_back(node.threshold);
         flat.left_.push_back(left_slot);
         flat.prob_.push_back(0.0);
@@ -76,6 +80,13 @@ double FlatForest::tree_proba(std::uint32_t root,
 }
 
 double FlatForest::predict_proba(std::span<const double> features) const {
+  // One check per call keeps every split's feature read in bounds, however
+  // the forest was built or loaded.
+  if (features.size() < required_features_) {
+    throw std::out_of_range("flat forest: splits on feature " +
+                            std::to_string(required_features_ - 1) + " of a " +
+                            std::to_string(features.size()) + "-feature vector");
+  }
   if (roots_.empty()) return 0.0;
   double sum = 0.0;
   if (combination_ == Combination::kProbabilityAveraging) {

@@ -44,7 +44,8 @@ class FlatForest {
   /// Ensemble positive-class score in [0, 1]: the mean per-tree leaf
   /// probability under kProbabilityAveraging, or the fraction of trees
   /// whose leaf probability is >= 0.5 under kMajorityVote.  Trees are
-  /// summed in training order.
+  /// summed in training order.  Throws std::out_of_range when `features`
+  /// does not reach the largest split feature.
   double predict_proba(std::span<const double> features) const;
   double predict_proba(std::initializer_list<double> features) const {
     return predict_proba(std::span<const double>(features.begin(), features.size()));
@@ -65,6 +66,7 @@ class FlatForest {
   std::vector<std::uint32_t> left_;      // left-child slot; right = left + 1
   std::vector<double> prob_;             // positive probability (leaves)
   std::vector<std::uint32_t> roots_;     // root slot of each tree, in order
+  std::size_t required_features_ = 0;    // largest split feature + 1
   Combination combination_ = Combination::kProbabilityAveraging;
 };
 

@@ -84,7 +84,6 @@ class RandomForest {
 
   /// Persistence (format documented in ml/serialization.h).
   void serialize(std::ostream& out) const;
-  static RandomForest deserialize(std::istream& in);
 
  private:
   std::vector<DecisionTree> trees_;

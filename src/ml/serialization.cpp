@@ -1,7 +1,10 @@
 #include "ml/serialization.h"
 
-#include <cinttypes>
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,33 +16,19 @@ constexpr std::string_view kMagic = "dynaminer-forest";
 constexpr std::string_view kVersionV1 = "v1";  // pre-options legacy, read-only
 constexpr std::string_view kVersion = "v2";
 
+// Declared counts are capped before anything is sized from them: an
+// adversarial header must not drive a multi-gigabyte reserve; real trees
+// are bounded by max_depth and the training-set size.
+constexpr long kMaxTrees = 100000;
+constexpr long kMaxNodes = 10'000'000;
+// The fewest bytes a tree header (" tree 0 0") and a node line
+// (" node 0 0 0 0 0") can take, so a count the rest of the input cannot
+// hold is a truncation, refused before anything is sized from it.
+constexpr std::size_t kMinTreeBytes = 9;
+constexpr std::size_t kMinNodeBytes = 15;
+
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("forest serialization: " + what);
-}
-
-std::string next_token(std::istream& in, const char* context) {
-  std::string token;
-  if (!(in >> token)) fail(std::string("unexpected end of input reading ") + context);
-  return token;
-}
-
-void expect_token(std::istream& in, std::string_view expected) {
-  const std::string token = next_token(in, std::string(expected).c_str());
-  if (token != expected) {
-    fail("expected '" + std::string(expected) + "', got '" + token + "'");
-  }
-}
-
-long read_long(std::istream& in, const char* context) {
-  const std::string token = next_token(in, context);
-  try {
-    std::size_t consumed = 0;
-    const long value = std::stol(token, &consumed);
-    if (consumed != token.size()) fail(std::string("bad integer for ") + context);
-    return value;
-  } catch (const std::exception&) {
-    fail(std::string("bad integer for ") + context);
-  }
 }
 
 /// Round-trip-exact double formatting (hex-float).
@@ -49,31 +38,252 @@ std::string format_double(double value) {
   return buf;
 }
 
-double read_double(std::istream& in, const char* context) {
-  const std::string token = next_token(in, context);
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end != token.c_str() + token.size()) {
-    fail(std::string("bad double for ") + context);
-  }
-  return value;
+/// The bytes `istream >> std::string` splits tokens on in the "C" locale.
+constexpr bool is_space(char c) noexcept {
+  return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
-std::uint64_t read_u64(std::istream& in, const char* context) {
-  const std::string token = next_token(in, context);
-  try {
-    std::size_t consumed = 0;
-    const unsigned long long value = std::stoull(token, &consumed);
-    if (consumed != token.size()) fail(std::string("bad integer for ") + context);
-    return static_cast<std::uint64_t>(value);
-  } catch (const std::exception&) {
-    fail(std::string("bad integer for ") + context);
+// The number readers take the text from a token's first byte to the end of
+// the input and return where the number ends (nullptr when there is none);
+// the token is well formed when that is where the token ends.
+
+/// strtol's syntax: one optional sign, then decimal digits.  from_chars
+/// takes the '-' but not the '+'.
+template <typename Int>
+const char* parse_int(const char* first, const char* last, Int& value) {
+  if (*first == '+') {
+    ++first;
+    if (first != last && *first == '-') return nullptr;
   }
+  const auto [end, ec] = std::from_chars(first, last, value);
+  return ec == std::errc{} ? end : nullptr;
+}
+
+/// strtod's syntax: one optional sign, then a decimal float, a hex float
+/// after 0x/0X, inf or nan.  A result out of a double's range is refused,
+/// where strtod would return ±inf or 0.
+const char* parse_double(const char* first, const char* last, double& value) {
+  const char* body = first;
+  if (*body == '+' || *body == '-') ++body;
+  if (body == last || *body == '-') return nullptr;
+  if (*body == 'n' || *body == 'N') {
+    // from_chars drops the payload of "nan(chars)" that strtod keeps; no
+    // trained forest holds a NaN, so this spelling takes the slow road.
+    const std::string token(first, std::find_if(first, last, is_space));
+    char* end = nullptr;
+    value = std::strtod(token.c_str(), &end);
+    return first + (end - token.c_str());
+  }
+  auto format = std::chars_format::general;
+  if (last - body > 1 && body[0] == '0' && (body[1] == 'x' || body[1] == 'X')) {
+    body += 2;
+    format = std::chars_format::hex;
+    // strtod wants a digit or a point after the prefix; from_chars would
+    // also take a sign or "inf" there.
+    if (body == last || !(std::isxdigit(static_cast<unsigned char>(*body)) || *body == '.')) {
+      return nullptr;
+    }
+  }
+  const auto [end, ec] = std::from_chars(body, last, value, format);
+  if (ec != std::errc{}) return nullptr;
+  // libstdc++'s hex reader also takes an exponent signed "+-", as strtod
+  // does not.
+  if (std::string_view(body, static_cast<std::size_t>(end - body)).find("+-") !=
+      std::string_view::npos) {
+    return nullptr;
+  }
+  if (*first == '-') value = -value;
+  return end;
+}
+
+/// One forward pass over an in-memory artifact.  Numbers are read in place
+/// and keywords compared in place, so a token costs no allocation and is
+/// looked at once.
+class Scanner {
+ public:
+  explicit Scanner(std::string_view text) noexcept
+      : at_(text.data()), end_(text.data() + text.size()) {}
+
+  std::size_t remaining() const noexcept { return static_cast<std::size_t>(end_ - at_); }
+
+  /// The next token, not consumed; empty at the end of the input.
+  std::string_view peek() noexcept {
+    skip_space();
+    return {at_, static_cast<std::size_t>(std::find_if(at_, end_, is_space) - at_)};
+  }
+
+  std::string_view next(std::string_view context) {
+    start(context);
+    const std::string_view token = peek();
+    at_ += token.size();
+    return token;
+  }
+
+  void expect(std::string_view expected) {
+    start(expected);
+    if (std::string_view(at_, remaining()).starts_with(expected) &&
+        ends_token(at_ + expected.size())) {
+      at_ += expected.size();
+      return;
+    }
+    fail("expected '" + std::string(expected) + "', got '" + std::string(peek()) + "'");
+  }
+
+  template <typename Int>
+  Int read_int(const char* context) {
+    start(context);
+    Int value = 0;
+    consume(parse_int(at_, end_, value), "bad integer for ", context);
+    return value;
+  }
+
+  double read_double(const char* context) {
+    start(context);
+    double value = 0.0;
+    consume(parse_double(at_, end_, value), "bad double for ", context);
+    return value;
+  }
+
+ private:
+  bool ends_token(const char* p) const noexcept { return p == end_ || is_space(*p); }
+
+  void skip_space() noexcept {
+    while (at_ != end_ && is_space(*at_)) ++at_;
+  }
+
+  /// Moves to the next token's first byte; fails at the end of the input.
+  void start(std::string_view context) {
+    skip_space();
+    if (at_ == end_) fail("unexpected end of input reading " + std::string(context));
+  }
+
+  /// Consumes a number ending at `end`, which must be where its token ends.
+  void consume(const char* end, const char* what, const char* context) {
+    if (end == nullptr || !ends_token(end)) fail(what + std::string(context));
+    at_ = end;
+  }
+
+  const char* at_;
+  const char* const end_;
+};
+
+/// Reads `in` to its end in bulk, a pipe as well as a file.
+std::string read_to_end(std::istream& in) {
+  std::ostringstream text;
+  text << in.rdbuf();
+  return std::move(text).str();
 }
 
 }  // namespace
 
-// ---- DecisionTree ----------------------------------------------------------
+/// The reader: a friend of DecisionTree, so a validated node table moves
+/// straight into the tree.
+class ForestReader {
+ public:
+  static RandomForest read(std::string_view text) {
+    Scanner in(text);
+    in.expect(kMagic);
+    const std::string_view version = in.next("version");
+    if (version != kVersion && version != kVersionV1) {
+      fail("expected '" + std::string(kVersion) + "', got '" + std::string(version) + "'");
+    }
+    in.expect("trees");
+    const long count = in.read_int<long>("tree count");
+    if (count < 0 || count > kMaxTrees) fail("implausible tree count");
+    in.expect("combination");
+    const std::string_view combination = in.next("combination");
+
+    ForestOptions options;
+    if (combination == "avg") {
+      options.combination = Combination::kProbabilityAveraging;
+    } else if (combination == "vote") {
+      options.combination = Combination::kMajorityVote;
+    } else {
+      fail("unknown combination '" + std::string(combination) + "'");
+    }
+    options.num_trees = static_cast<std::size_t>(count);
+    std::uint64_t model_version = 0;
+    if (version == kVersion) {
+      in.expect("options");
+      in.expect("features-per-split");
+      options.features_per_split = in.read_int<std::uint64_t>("features-per-split");
+      in.expect("bootstrap-fraction");
+      options.bootstrap_fraction = in.read_double("bootstrap-fraction");
+      in.expect("seed");
+      options.seed = in.read_int<std::uint64_t>("seed");
+      in.expect("tree-options");
+      in.expect("max-depth");
+      options.tree.max_depth = in.read_int<std::uint64_t>("max-depth");
+      in.expect("min-samples-split");
+      options.tree.min_samples_split = in.read_int<std::uint64_t>("min-samples-split");
+      in.expect("min-samples-leaf");
+      options.tree.min_samples_leaf = in.read_int<std::uint64_t>("min-samples-leaf");
+      // Optional trailer: serving-layer model version (absent in artifacts
+      // written before the serving layer existed, and in unstamped forests).
+      if (in.peek() == "model-version") {
+        in.expect("model-version");
+        model_version = in.read_int<std::uint64_t>("model-version");
+      }
+    }
+    // The peek for the trailer may have skipped the first tree's blank.
+    if (static_cast<std::size_t>(count) > (in.remaining() + 1) / kMinTreeBytes) {
+      fail("unexpected end of input reading tree");
+    }
+    std::vector<DecisionTree> trees;
+    trees.reserve(static_cast<std::size_t>(count));
+    std::vector<std::uint8_t> named;  // per tree: node already some node's child
+    for (long i = 0; i < count; ++i) trees.push_back(read_tree(in, named));
+    RandomForest forest = RandomForest::assemble(std::move(trees), options);
+    forest.set_model_version(model_version);
+    return forest;
+  }
+
+ private:
+  static DecisionTree read_tree(Scanner& in, std::vector<std::uint8_t>& named) {
+    in.expect("tree");
+    const long count = in.read_int<long>("node count");
+    const long depth = in.read_int<long>("depth");
+    if (count < 0 || depth < 0) fail("negative tree geometry");
+    if (count > kMaxNodes) fail("implausible node count");
+    if (static_cast<std::size_t>(count) > in.remaining() / kMinNodeBytes) {
+      fail("unexpected end of input reading node");
+    }
+
+    DecisionTree tree;
+    tree.depth_ = static_cast<std::size_t>(depth);
+    tree.nodes_.reserve(static_cast<std::size_t>(count));
+    named.assign(static_cast<std::size_t>(count), 0);
+    for (long i = 0; i < count; ++i) {
+      in.expect("node");
+      DecisionTree::Node node;
+      // FlatForest indexes its arena and the feature vector with int32.
+      node.left = in.read_int<std::int32_t>("left");
+      node.right = in.read_int<std::int32_t>("right");
+      const auto feature = in.read_int<std::int32_t>("feature");
+      if (feature < 0) fail("negative feature");
+      node.feature = static_cast<std::uint32_t>(feature);
+      node.threshold = in.read_double("threshold");
+      node.positive_probability = in.read_double("probability");
+      // Structural validation: children must point inside the node table,
+      // and the links must form a tree: each child after its parent and
+      // named once, as DecisionTree::train lays nodes out.  A cycle or a
+      // shared child would make FlatForest::compile's walk grow without end.
+      if (node.left >= count || node.right >= count) fail("child out of range");
+      if ((node.left < 0) != (node.right < 0)) fail("half-leaf node");
+      if (node.left >= 0) {
+        if (node.left <= i || node.right <= i) fail("child before its parent");
+        const auto left = static_cast<std::size_t>(node.left);
+        const auto right = static_cast<std::size_t>(node.right);
+        if (left == right || named[left] || named[right]) fail("node is a child twice");
+        named[left] = named[right] = 1;
+      }
+      tree.nodes_.push_back(node);
+    }
+    return tree;
+  }
+};
+
+// ---- writer ----------------------------------------------------------------
 
 void DecisionTree::serialize(std::ostream& out) const {
   out << "tree " << nodes_.size() << ' ' << depth_ << '\n';
@@ -83,36 +293,6 @@ void DecisionTree::serialize(std::ostream& out) const {
         << format_double(node.positive_probability) << '\n';
   }
 }
-
-DecisionTree DecisionTree::deserialize(std::istream& in) {
-  expect_token(in, "tree");
-  const long count = read_long(in, "node count");
-  const long depth = read_long(in, "depth");
-  if (count < 0 || depth < 0) fail("negative tree geometry");
-  // An adversarial header must not drive a multi-gigabyte reserve; real
-  // trees are bounded by max_depth and the training-set size.
-  if (count > 10'000'000) fail("implausible node count");
-
-  DecisionTree tree;
-  tree.depth_ = static_cast<std::size_t>(depth);
-  tree.nodes_.reserve(static_cast<std::size_t>(count));
-  for (long i = 0; i < count; ++i) {
-    expect_token(in, "node");
-    Node node;
-    node.left = static_cast<std::int32_t>(read_long(in, "left"));
-    node.right = static_cast<std::int32_t>(read_long(in, "right"));
-    node.feature = static_cast<std::uint32_t>(read_long(in, "feature"));
-    node.threshold = read_double(in, "threshold");
-    node.positive_probability = read_double(in, "probability");
-    // Structural validation: children must point inside the node table.
-    if (node.left >= count || node.right >= count) fail("child out of range");
-    if ((node.left < 0) != (node.right < 0)) fail("half-leaf node");
-    tree.nodes_.push_back(node);
-  }
-  return tree;
-}
-
-// ---- RandomForest ----------------------------------------------------------
 
 void RandomForest::serialize(std::ostream& out) const {
   out << kMagic << ' ' << kVersion << '\n';
@@ -137,64 +317,6 @@ void RandomForest::serialize(std::ostream& out) const {
   for (const DecisionTree& tree : trees_) tree.serialize(out);
 }
 
-RandomForest RandomForest::deserialize(std::istream& in) {
-  expect_token(in, kMagic);
-  const std::string version = next_token(in, "version");
-  if (version != kVersion && version != kVersionV1) {
-    fail("expected '" + std::string(kVersion) + "', got '" + version + "'");
-  }
-  expect_token(in, "trees");
-  const long count = read_long(in, "tree count");
-  if (count < 0 || count > 100000) fail("implausible tree count");
-  expect_token(in, "combination");
-  const std::string combination = next_token(in, "combination");
-
-  RandomForest forest;
-  if (combination == "avg") {
-    forest.options_.combination = Combination::kProbabilityAveraging;
-  } else if (combination == "vote") {
-    forest.options_.combination = Combination::kMajorityVote;
-  } else {
-    fail("unknown combination '" + combination + "'");
-  }
-  forest.options_.num_trees = static_cast<std::size_t>(count);
-  if (version == kVersion) {
-    expect_token(in, "options");
-    expect_token(in, "features-per-split");
-    forest.options_.features_per_split =
-        static_cast<std::size_t>(read_u64(in, "features-per-split"));
-    expect_token(in, "bootstrap-fraction");
-    forest.options_.bootstrap_fraction = read_double(in, "bootstrap-fraction");
-    expect_token(in, "seed");
-    forest.options_.seed = read_u64(in, "seed");
-    expect_token(in, "tree-options");
-    expect_token(in, "max-depth");
-    forest.options_.tree.max_depth =
-        static_cast<std::size_t>(read_u64(in, "max-depth"));
-    expect_token(in, "min-samples-split");
-    forest.options_.tree.min_samples_split =
-        static_cast<std::size_t>(read_u64(in, "min-samples-split"));
-    expect_token(in, "min-samples-leaf");
-    forest.options_.tree.min_samples_leaf =
-        static_cast<std::size_t>(read_u64(in, "min-samples-leaf"));
-    // Optional trailer: serving-layer model version (absent in artifacts
-    // written before the serving layer existed, and in unstamped forests).
-    const std::streampos before_trailer = in.tellg();
-    std::string token;
-    if (in >> token && token == "model-version") {
-      forest.model_version_ = read_u64(in, "model-version");
-    } else {
-      in.clear();
-      in.seekg(before_trailer);
-    }
-  }
-  forest.trees_.reserve(static_cast<std::size_t>(count));
-  for (long i = 0; i < count; ++i) {
-    forest.trees_.push_back(DecisionTree::deserialize(in));
-  }
-  return forest;
-}
-
 // ---- free functions ---------------------------------------------------------
 
 void save_forest(const RandomForest& forest, std::ostream& out) {
@@ -202,7 +324,7 @@ void save_forest(const RandomForest& forest, std::ostream& out) {
   if (!out) fail("write failure");
 }
 
-RandomForest load_forest(std::istream& in) { return RandomForest::deserialize(in); }
+RandomForest load_forest(std::istream& in) { return ForestReader::read(read_to_end(in)); }
 
 void save_forest_file(const RandomForest& forest, const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
@@ -211,33 +333,28 @@ void save_forest_file(const RandomForest& forest, const std::string& path) {
 }
 
 RandomForest load_forest_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) fail("cannot open for read: " + path);
   return load_forest(in);
 }
 
-// The throwing deserializer is the single source of truth for format
-// validation; the structured-error API catches at the boundary so callers
-// that read untrusted artifacts (the model store's recovery scan, operator
-// tooling) get quarantine-and-count semantics instead of stack unwinding
-// through their own state.
-LoadResult<RandomForest> try_load_forest(std::istream& in) {
+// The throwing reader is the single source of truth for format validation;
+// the structured-error API catches at the boundary so callers that read
+// untrusted artifacts (the model store's recovery scan, operator tooling)
+// get quarantine-and-count semantics instead of stack unwinding through
+// their own state.
+LoadResult<RandomForest> try_load_forest(std::string_view text) {
   try {
-    return RandomForest::deserialize(in);
+    return ForestReader::read(text);
   } catch (const std::exception& e) {
     return LoadError{e.what()};
   }
 }
 
-LoadResult<RandomForest> try_load_forest(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  return try_load_forest(in);
-}
-
 LoadResult<RandomForest> try_load_forest_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return LoadError{"cannot open for read: " + path};
-  return try_load_forest(in);
+  return try_load_forest(read_to_end(in));
 }
 
 }  // namespace dm::ml

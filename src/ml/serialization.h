@@ -23,6 +23,13 @@
 // — including every artifact written before the serving layer existed —
 // serialize byte-identically to the original v2 layout and load with
 // model_version() == 0.
+//
+// The reader is the model store's trust boundary, so past the grammar it
+// refuses: counts over their caps; a link outside its tree's node table; a
+// half leaf (one link negative, the other not); links that do not form a
+// tree (every child index greater than its parent's, no node a child
+// twice); a link outside int32 or a feature outside [0, INT32_MAX], which
+// ml::FlatForest could not index; and a number out of a double's range.
 #pragma once
 
 #include <iosfwd>
@@ -38,11 +45,14 @@ namespace dm::ml {
 /// Throws std::runtime_error on stream failure.
 void save_forest(const RandomForest& forest, std::ostream& out);
 
-/// Reads a forest previously written by save_forest.
-/// Throws std::runtime_error on malformed input or version mismatch.
+/// Reads a forest previously written by save_forest.  Consumes `in` to its
+/// end and parses that text, so bytes after the forest are read (and
+/// ignored) too.  Throws std::runtime_error on malformed input or version
+/// mismatch.
 RandomForest load_forest(std::istream& in);
 
-/// File-path conveniences.
+/// File-path conveniences.  The loaders read the file to its end, so a
+/// path may name a pipe or FIFO as well as a regular file.
 void save_forest_file(const RandomForest& forest, const std::string& path);
 RandomForest load_forest_file(const std::string& path);
 
@@ -61,8 +71,8 @@ using LoadResult = dm::util::BasicExpected<T, LoadError>;
 
 /// Non-throwing variants of load_forest: every malformed input — truncated
 /// stream, bad magic, implausible counts, non-numeric tokens, structural
-/// violations — comes back as a LoadError instead of an exception.
-LoadResult<RandomForest> try_load_forest(std::istream& in);
+/// violations — comes back as a LoadError instead of an exception.  The
+/// text is parsed in place.
 LoadResult<RandomForest> try_load_forest(std::string_view text);
 LoadResult<RandomForest> try_load_forest_file(const std::string& path);
 

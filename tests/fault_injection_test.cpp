@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <sstream>
 #include <thread>
 
 #include "core/online.h"
@@ -24,6 +25,7 @@
 #include "fault_inject.h"
 #include "http/parser.h"
 #include "http/transaction_stream.h"
+#include "ml/serialization.h"
 #include "net/pcap.h"
 #include "net/tcp_reassembly.h"
 #include "runtime/sharded_online.h"
@@ -535,6 +537,25 @@ TEST(RuntimeFaultTest, ClassifierFaultHookQuarantinesQueriesNotTheStream) {
   EXPECT_GT(faulty.stats().classifier_failures, 0u);
   EXPECT_EQ(faulty.stats().alerts, 0u);
   EXPECT_EQ(faulty.stats().transactions_seen, stream.size());
+}
+
+TEST(RuntimeFaultTest, ModelSplittingPastTheFeatureVectorFailsQueriesNotTheProcess) {
+  // A loadable model whose root splits on feature 5,000,000 of the 37-wide
+  // vector: every query must fail as a counted classifier failure, not
+  // read out of bounds.
+  const auto stream = infection_stream(102);
+  std::istringstream model(
+      "dynaminer-forest v1\ntrees 1 combination avg\ntree 3 1\n"
+      "node 1 2 5000000 0x0p+0 0x0p+0\n"
+      "node -1 -1 0 0x0p+0 0x0p+0\nnode -1 -1 0 0x0p+0 0x1p+0\n");
+  const auto detector =
+      std::make_shared<const dm::core::Detector>(dm::ml::load_forest(model));
+  dm::core::OnlineDetector engine(detector, online_options());
+  for (const auto& txn : stream) engine.observe(txn);
+  EXPECT_GT(engine.stats().classifier_failures, 0u);
+  EXPECT_EQ(engine.stats().classifier_failures, engine.stats().classifier_queries);
+  EXPECT_EQ(engine.stats().alerts, 0u);
+  EXPECT_EQ(engine.stats().transactions_seen, stream.size());
 }
 
 dm::runtime::StatsSnapshot run_with_policy(

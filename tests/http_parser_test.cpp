@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 namespace dm::http {
 namespace {
 
@@ -137,6 +139,73 @@ TEST(HttpParserTest, MultiSpaceReasonPhrase) {
       stream_of("HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"), false).responses;
   ASSERT_EQ(resps.size(), 1u);
   EXPECT_EQ(resps[0].reason, "Not Found");
+}
+
+TEST(HttpParserTest, StatusLineInsideAGarbageLineIsKept) {
+  // The stream opens inside a body with no CRLF at its end: the body's tail
+  // and the next status line share one line.
+  const auto parsed = parse_responses_ex(
+      stream_of("tail of an earlier bodyHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nhi"),
+      false);
+  ASSERT_EQ(parsed.responses.size(), 1u);
+  EXPECT_EQ(parsed.responses[0].status_code, 200);
+  EXPECT_EQ(parsed.responses[0].body, "hi");
+  ASSERT_EQ(parsed.errors.size(), 1u);
+  EXPECT_EQ(parsed.errors[0].code, dm::util::DecodeErrorCode::kHttpBadStatusLine);
+}
+
+TEST(HttpParserTest, StatusLineInsideASkippedLineIsKept) {
+  const auto parsed = parse_responses_ex(
+      stream_of("garbage\r\nmore HTTP/1.x talk\r\nxxHTTP/1.0 404 Not Found\r\n"
+                "Content-Length: 0\r\n\r\n"),
+      false);
+  ASSERT_EQ(parsed.responses.size(), 1u);
+  EXPECT_EQ(parsed.responses[0].status_code, 404);
+  EXPECT_EQ(parsed.errors.size(), 1u);
+}
+
+TEST(HttpParserTest, RequestLineInsideAGarbageLineNeedsItsVersion) {
+  const auto kept = parse_requests_ex(
+      stream_of("id=1234GET /b HTTP/1.1\r\nHost: x\r\n\r\n"));
+  ASSERT_EQ(kept.requests.size(), 1u);
+  EXPECT_EQ(kept.requests[0].uri, "/b");
+  ASSERT_EQ(kept.errors.size(), 1u);
+  EXPECT_EQ(kept.errors[0].code, dm::util::DecodeErrorCode::kHttpBadRequestLine);
+  // A method name in prose is no anchor without the version at the end.
+  const auto skipped = parse_requests_ex(
+      stream_of("please GET /b now\r\nHost: x\r\n\r\n"));
+  EXPECT_TRUE(skipped.requests.empty());
+  EXPECT_EQ(skipped.errors.size(), 1u);
+}
+
+std::string repeated(std::string_view piece, std::size_t bytes) {
+  std::string out = "x";
+  while (out.size() < bytes) out += piece;
+  return out;
+}
+
+TEST(HttpParserTest, LineOfRepeatedAnchorsIsSearchedInOnePass) {
+  // The watched hosts write these bytes: a 2 MB line of message-start
+  // anchors must cost one pass over it, not one pass per anchor (about
+  // 10^11 byte steps here).
+  constexpr std::size_t kLine = 2 << 20;
+  const auto begin = std::chrono::steady_clock::now();
+  for (const std::string_view anchor : {"HTTP/1.", "HTTP/1.1 "}) {
+    const auto parsed = parse_responses_ex(
+        stream_of(repeated(anchor, kLine) + "\r\nHTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n"),
+        false);
+    ASSERT_EQ(parsed.responses.size(), 1u) << anchor;
+    EXPECT_EQ(parsed.responses[0].status_code, 200);
+    EXPECT_EQ(parsed.errors.size(), 1u);
+  }
+  const auto requests = parse_requests_ex(stream_of(
+      repeated("GET", kLine) + " HTTP/1.1\r\nGET /ok HTTP/1.1\r\nHost: x\r\n\r\n"));
+  ASSERT_EQ(requests.requests.size(), 1u);
+  EXPECT_EQ(requests.requests[0].uri, "/ok");
+  EXPECT_EQ(requests.errors.size(), 1u);
+  // Linear work takes milliseconds, sanitized too; a pass per anchor would
+  // take minutes.
+  EXPECT_LT(std::chrono::steady_clock::now() - begin, std::chrono::seconds(5));
 }
 
 TEST(HttpParserTest, HeaderLookupCaseInsensitive) {

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
+#include "core/features.h"
 #include "ml/flat_forest.h"
 #include "ml/parallel_trainer.h"
+#include "pipe_file.h"
 #include "util/rng.h"
 
 namespace dm::ml {
@@ -225,6 +229,48 @@ TEST(SerializationTest, EmptyForestRoundTrips) {
   const auto loaded = load_forest(buffer);
   EXPECT_EQ(loaded.num_trees(), 0u);
   EXPECT_EQ(FlatForest::compile(loaded).predict_proba({1.0}), 0.0);
+}
+
+TEST(SerializationTest, ShippedModelLoadsAndRoundTripsByteForByte) {
+  // The model the examples and pipebench deploy, through the file loader.
+  const auto forest = load_forest_file(DM_SHIPPED_MODEL);
+  EXPECT_EQ(forest.num_trees(), 20u);
+  std::size_t nodes = 0;
+  std::uint32_t largest_feature = 0;
+  for (const auto& tree : forest.trees()) {
+    nodes += tree.node_count();
+    for (const auto& node : tree.nodes()) {
+      if (node.left >= 0) largest_feature = std::max(largest_feature, node.feature);
+    }
+  }
+  EXPECT_EQ(nodes, 456u);
+  EXPECT_EQ(largest_feature, 36u);
+  EXPECT_LT(largest_feature, dm::core::kNumFeatures);
+
+  std::ifstream in(DM_SHIPPED_MODEL, std::ios::binary);
+  std::ostringstream file;
+  file << in.rdbuf();
+  std::ostringstream out;
+  save_forest(forest, out);
+  EXPECT_EQ(out.str(), file.str());
+}
+
+TEST(SerializationTest, FileLoadersReadAPipeToItsEnd) {
+  // A FIFO or a process substitution (`<(zcat model.gz)`) cannot seek: the
+  // file loaders must read it to its end, not refuse to open it.
+  std::ifstream in(DM_SHIPPED_MODEL, std::ios::binary);
+  std::ostringstream file;
+  file << in.rdbuf();
+  {
+    const dm::pipetest::PipeFile pipe(file.str());
+    std::ostringstream out;
+    save_forest(load_forest_file(pipe.path()), out);
+    EXPECT_EQ(out.str(), file.str());
+  }
+  const dm::pipetest::PipeFile pipe(file.str());
+  const auto loaded = try_load_forest_file(pipe.path());
+  ASSERT_TRUE(loaded.has_value()) << loaded.error().to_string();
+  EXPECT_EQ(loaded->num_trees(), 20u);
 }
 
 }  // namespace

@@ -11,25 +11,20 @@
 // owns.)
 #include "net/pcap_mmap.h"
 
-#include <pthread.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "http/transaction_stream.h"
 #include "net/pcap.h"
+#include "pipe_file.h"
 #include "synth/families.h"
 #include "synth/generator.h"
 #include "synth/pcap_export.h"
@@ -67,45 +62,6 @@ std::vector<std::uint8_t> episode_capture_bytes(std::uint64_t seed) {
       gen.infection(dm::synth::exploit_kit_families().front());
   return dm::net::write_pcap(dm::synth::episode_to_pcap(episode));
 }
-
-/// A pipe that a writer thread fills with `bytes` and then closes; path()
-/// names its read end, as `cat capture.pcap | reader /dev/stdin` would.
-class PipeCapture {
- public:
-  explicit PipeCapture(const std::vector<std::uint8_t>& bytes) {
-    int fds[2];
-    if (::pipe(fds) != 0) throw std::runtime_error("pipe() failed");
-    read_fd_ = fds[0];
-    writer_ = std::thread([&bytes, fd = fds[1]] {
-      // A reader that gave up early closes the pipe: the write then fails
-      // with EPIPE instead of raising SIGPIPE on the test process.
-      sigset_t pipe_signal;
-      sigemptyset(&pipe_signal);
-      sigaddset(&pipe_signal, SIGPIPE);
-      pthread_sigmask(SIG_BLOCK, &pipe_signal, nullptr);
-      std::size_t at = 0;
-      while (at < bytes.size()) {
-        const ssize_t n = ::write(fd, bytes.data() + at, bytes.size() - at);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) break;
-        at += static_cast<std::size_t>(n);
-      }
-      ::close(fd);
-    });
-  }
-  ~PipeCapture() {
-    ::close(read_fd_);  // unblocks a writer whose reader never came
-    writer_.join();
-  }
-  PipeCapture(const PipeCapture&) = delete;
-  PipeCapture& operator=(const PipeCapture&) = delete;
-
-  std::string path() const { return "/dev/fd/" + std::to_string(read_fd_); }
-
- private:
-  int read_fd_ = -1;
-  std::thread writer_;
-};
 
 /// Every field the detector reads, in stream order.
 void expect_same_transactions(
@@ -244,7 +200,7 @@ TEST(PcapMmapTest, PipeIsReadToItsEnd) {
   }
   ASSERT_GT(bytes.size(), 64u * 1024);
   {
-    const PipeCapture pipe(bytes);
+    const dm::pipetest::PipeFile pipe(bytes);
     const MappedFile mapping(pipe.path());
     EXPECT_FALSE(mapping.mapped());
     EXPECT_TRUE(std::ranges::equal(mapping.bytes(), bytes));
@@ -252,7 +208,7 @@ TEST(PcapMmapTest, PipeIsReadToItsEnd) {
   const TempCapture file(bytes, "pipe");
   const auto from_file = dm::http::transactions_from_pcap_file(file.path());
   ASSERT_FALSE(from_file.empty());
-  const PipeCapture pipe(bytes);
+  const dm::pipetest::PipeFile pipe(bytes);
   dm::util::FaultStats faults;
   const auto from_pipe =
       dm::http::transactions_from_pcap_file(pipe.path(), &faults);
