@@ -145,6 +145,10 @@ struct Alert {
 };
 
 /// Counters for reporting (Table VI's per-host breakdown uses these).
+/// Counted beside the registry's dm.detect.* counters, not read from them:
+/// callers hold stats() by reference across observe() and want this
+/// engine's totals, while registry counters are shared by every engine on a
+/// registry and outlive each one (a view would need per-engine atomics).
 struct OnlineStats {
   std::size_t transactions_seen = 0;
   std::size_t transactions_weeded = 0;

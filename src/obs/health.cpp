@@ -1,7 +1,5 @@
 #include "obs/health.h"
 
-#include <algorithm>
-
 #include "util/hash.h"
 #include "util/log.h"
 
@@ -162,14 +160,14 @@ double HealthWatchdog::rule_value(std::string_view name) const noexcept {
 std::vector<HealthRule> default_health_rules(
     const HealthThresholds& thresholds) {
   std::vector<HealthRule> rules;
-  const double capacity =
-      static_cast<double>(std::max<std::size_t>(1, thresholds.queue_capacity));
   rules.push_back(HealthRule{
       "queue_saturation",
-      [capacity](const RegistrySnapshot& cur, const RegistrySnapshot&) {
+      [](const RegistrySnapshot& cur, const RegistrySnapshot&) {
+        const auto capacity = cur.counter_value("dm.runtime.queue_capacity");
+        if (capacity == 0) return 0.0;
         return static_cast<double>(
                    cur.counter_value("dm.runtime.queue_highwater")) /
-               capacity;
+               static_cast<double>(capacity);
       },
       thresholds.queue_warn, thresholds.queue_critical, 2, 3});
   rules.push_back(HealthRule{

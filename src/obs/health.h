@@ -121,8 +121,9 @@ class HealthWatchdog {
 
 /// Thresholds for the five stock rules (values are compared >=).
 struct HealthThresholds {
-  /// Queue saturation: dm.runtime.queue_highwater / queue_capacity.
-  std::size_t queue_capacity = 256;
+  /// Queue saturation: dm.runtime.queue_highwater over
+  /// dm.runtime.queue_capacity, both read from the snapshot (0 when no
+  /// engine registered a capacity).
   double queue_warn = 0.5;
   double queue_critical = 0.9;
   /// Shed rate per tick: Δshed / Δin.

@@ -1,7 +1,5 @@
 #include "obs/pipeline.h"
 
-#include <string>
-
 namespace dm::obs {
 
 PipelineMetrics PipelineMetrics::of(MetricsRegistry& reg) {
@@ -24,7 +22,6 @@ PipelineMetrics PipelineMetrics::of(MetricsRegistry& reg) {
       reg.histogram("dm.runtime.dispatch_ns"),
       reg.histogram("dm.runtime.queue_wait_ns"),
       reg.histogram("dm.runtime.worker_batch_ns"),
-      reg.histogram("dm.ingest.reconstruct_ns"),
   };
 }
 
@@ -120,17 +117,6 @@ OracleMetrics& oracle_metrics() {
   static OracleMetrics* instance =
       new OracleMetrics(OracleMetrics::of(registry()));  // never destroyed
   return *instance;
-}
-
-void record_fault_counts(const dm::util::FaultStatsSnapshot& faults,
-                         MetricsRegistry& reg) {
-  for (std::size_t i = 0; i < dm::util::kDecodeErrorCodeCount; ++i) {
-    if (faults.counts[i] == 0) continue;
-    const auto code = static_cast<dm::util::DecodeErrorCode>(i);
-    reg.counter(std::string("dm.fault.") +
-                std::string(dm::util::decode_error_name(code)))
-        .add(faults.counts[i]);
-  }
 }
 
 }  // namespace dm::obs

@@ -7,10 +7,9 @@
 //   dm.stage.*_ns per-stage latency histograms, pcap decode through verdict
 //   dm.detect.*   on-the-wire engine events and the headline
 //                 dm.detect.clue_to_verdict_ns latency
-//   dm.runtime.*  sharded-engine throughput/shed counters (callback-sourced
-//                 from runtime::Stats) and dispatcher/queue/worker timing
-//   dm.ingest.*   parallel-ingest reconstruction timing
-//   dm.fault.*    decode-fault counters folded from util::FaultStats
+//   dm.runtime.*  sharded-engine throughput/shed counters and queue depth
+//                 (callback-sourced from runtime::Stats and the shard
+//                 queues) and dispatcher/queue/worker timing
 //   dm.train.*    Stage-1 training: per-tree build / per-WCG extract /
 //                 per-CV-fold latency + throughput counters (handles live
 //                 in ml::TrainerMetrics, see ml/parallel_trainer.h)
@@ -27,12 +26,15 @@
 //                 tick/transition/trip/recovery counters (obs/health.h,
 //                 HealthMetrics — the panel lives there, next to the rules)
 //
+// Decode faults are not registry metrics: each reconstruction run counts
+// them in the util::FaultStats its caller passes and reads them back from
+// that run's FaultStatsSnapshot.
+//
 // Hot paths construct a PipelineMetrics once (a bundle of references into a
 // registry) and touch only the wait-free handles afterwards.
 #pragma once
 
 #include "obs/metrics.h"
-#include "util/fault_stats.h"
 
 namespace dm::obs {
 
@@ -62,7 +64,6 @@ struct PipelineMetrics {
   Histogram& runtime_dispatch_ns;      // dispatcher: batch handoff (incl. backpressure)
   Histogram& runtime_queue_wait_ns;    // batch enqueue -> worker pop
   Histogram& runtime_worker_batch_ns;  // worker: one batch through the detector
-  Histogram& ingest_reconstruct_ns;    // parallel ingest: one capture file
 
   /// Resolves (creating on first use) every handle in `reg`.  Cold path —
   /// call once per component, keep the result.
@@ -175,11 +176,5 @@ struct OracleMetrics {
 
 /// dm.oracle.* handles into the process-wide registry.
 OracleMetrics& oracle_metrics();
-
-/// Folds one completed run's decode-fault counts into `reg`'s
-/// `dm.fault.<layer/name>` counters (additive — call once per finished
-/// FaultStats, not per snapshot).
-void record_fault_counts(const dm::util::FaultStatsSnapshot& faults,
-                         MetricsRegistry& reg = registry());
 
 }  // namespace dm::obs

@@ -58,6 +58,11 @@ ShardedOnlineEngine::ShardedOnlineEngine(
     for (const auto& shard : shards_) hw = std::max(hw, shard->queue.highwater());
     return static_cast<std::uint64_t>(hw);
   }));
+  // The per-shard depth the high-water mark is read against (the health
+  // watchdog's queue_saturation rule divides one by the other).
+  const auto depth = static_cast<std::uint64_t>(shards_.front()->queue.capacity());
+  obs_handles_.push_back(
+      reg.register_callback("dm.runtime.queue_capacity", [depth] { return depth; }));
 
   for (auto& shard : shards_) {
     shard->thread = std::thread([s = shard.get(), this] {

@@ -8,7 +8,6 @@ std::string_view decode_layer_name(DecodeLayer layer) noexcept {
     case DecodeLayer::kFrame: return "frame";
     case DecodeLayer::kTcp: return "tcp";
     case DecodeLayer::kHttp: return "http";
-    case DecodeLayer::kRuntime: return "runtime";
   }
   return "?";
 }
@@ -27,9 +26,6 @@ std::string_view decode_error_name(DecodeErrorCode code) noexcept {
     case DecodeErrorCode::kHttpBadContentLength: return "bad-content-length";
     case DecodeErrorCode::kHttpBadChunk: return "bad-chunk";
     case DecodeErrorCode::kHttpTruncatedMessage: return "truncated-message";
-    case DecodeErrorCode::kDetectorFailure: return "detector-failure";
-    case DecodeErrorCode::kOverloadShed: return "overload-shed";
-    case DecodeErrorCode::kObserveAfterFinish: return "observe-after-finish";
     case DecodeErrorCode::kCount_: break;
   }
   return "?";

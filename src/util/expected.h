@@ -27,13 +27,16 @@ enum class DecodeLayer {
   kFrame,    // Ethernet/IPv4/TCP header parsing
   kTcp,      // stream reassembly
   kHttp,     // HTTP/1.x message parsing
-  kRuntime,  // detection engine / dispatch
 };
 
 std::string_view decode_layer_name(DecodeLayer layer) noexcept;
 
-/// Every distinct fault class the pipeline can quarantine.  Keep in sync
-/// with decode_error_name(); kCount_ is a sentinel for FaultStats arrays.
+/// Every distinct fault class the decode pipeline can quarantine.  Keep in
+/// sync with decode_error_name(); kCount_ is a sentinel for FaultStats
+/// arrays.  Each code has a producer on some decode path
+/// (fault_injection_test fences that).  Engine events (detector failures,
+/// sheds, observe() after finish()) are not decode faults: runtime::Stats
+/// counts them.
 enum class DecodeErrorCode {
   // pcap layer
   kPcapTruncatedHeader,
@@ -51,10 +54,6 @@ enum class DecodeErrorCode {
   kHttpBadContentLength,
   kHttpBadChunk,
   kHttpTruncatedMessage,
-  // runtime layer
-  kDetectorFailure,
-  kOverloadShed,
-  kObserveAfterFinish,
   kCount_,
 };
 

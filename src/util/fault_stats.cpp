@@ -20,14 +20,10 @@ DecodeLayer layer_of(DecodeErrorCode code) noexcept {
     case DecodeErrorCode::kHttpBadContentLength:
     case DecodeErrorCode::kHttpBadChunk:
     case DecodeErrorCode::kHttpTruncatedMessage:
+    case DecodeErrorCode::kCount_:  // sentinel, never counted
       return DecodeLayer::kHttp;
-    case DecodeErrorCode::kDetectorFailure:
-    case DecodeErrorCode::kOverloadShed:
-    case DecodeErrorCode::kObserveAfterFinish:
-    case DecodeErrorCode::kCount_:
-      return DecodeLayer::kRuntime;
   }
-  return DecodeLayer::kRuntime;
+  return DecodeLayer::kHttp;
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Quarantine accounting for the fault-tolerant decode pipeline: one atomic
 // counter per DecodeErrorCode.  A single FaultStats can be shared by every
-// stage of one ingest run (pcap decode, frame parse, TCP reassembly, HTTP
-// parse, runtime) and by concurrent workers — record() is lock-free.
-// Reports read a plain-value FaultStatsSnapshot.
+// decode stage of one reconstruction run (pcap decode, frame parse, TCP
+// reassembly, HTTP parse) and by concurrent workers — record() is
+// lock-free.  Reports read a plain-value FaultStatsSnapshot.  The detection
+// engine is not a stage here: runtime::Stats counts its failures and sheds.
 #pragma once
 
 #include <array>

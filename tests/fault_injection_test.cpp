@@ -26,6 +26,7 @@
 #include "http/parser.h"
 #include "http/transaction_stream.h"
 #include "ml/serialization.h"
+#include "net/packet_builder.h"
 #include "net/pcap.h"
 #include "net/tcp_reassembly.h"
 #include "runtime/sharded_online.h"
@@ -199,9 +200,10 @@ TEST(FrameFaultTest, GarbledEthertypeCountsExactlyPerFrame) {
 // ---------------------------------------------------------------------------
 
 /// Feeds a capture's decodable frames through one reassembler.
-dm::net::ReassemblyCounters reassemble(const dm::net::PcapFile& capture,
-                                       FaultStats* faults = nullptr) {
-  dm::net::TcpReassembler reassembler{dm::net::ReassemblyOptions{}, faults};
+dm::net::ReassemblyCounters reassemble(
+    const dm::net::PcapFile& capture, FaultStats* faults = nullptr,
+    const dm::net::ReassemblyOptions& options = {}) {
+  dm::net::TcpReassembler reassembler{options, faults};
   for (const auto& pkt : capture.packets) {
     if (const auto parsed = dm::net::parse_ethernet_ipv4_tcp(pkt.data)) {
       reassembler.ingest(*parsed, pkt.ts_micros);
@@ -375,6 +377,81 @@ TEST(HttpFaultTest, MidStreamEofIsTruncationNotCrash) {
   // Connections cut mid-stream lose messages but never the parsed prefix of
   // the capture; nothing throws.
   EXPECT_LE(txns.size(), clean_count);
+}
+
+// ---------------------------------------------------------------------------
+// Every code has a producer
+// ---------------------------------------------------------------------------
+
+/// One scripted HTTP exchange on one TCP connection (no teardown, so a
+/// response without framing stays open).
+dm::net::PcapFile conversation(std::string_view request,
+                               std::string_view response) {
+  dm::net::TcpConversationBuilder builder(
+      dm::net::Ipv4Address::from_octets(10, 0, 0, 7), 40100,
+      dm::net::Ipv4Address::from_octets(5, 6, 7, 10), 80);
+  builder.handshake(1'000);
+  builder.client_send(2'000, request);
+  if (!response.empty()) builder.server_send(3'000, response);
+  dm::net::PcapFile capture;
+  capture.packets = builder.take_packets();
+  return capture;
+}
+
+TEST(FaultCoverageTest, EveryDecodeErrorCodeIsRecordedByADecodePath) {
+  // One input per code, each through its layer's public entry point, all
+  // counted in one FaultStats.  A code no decode path records is dead
+  // vocabulary: this fails for it.
+  FaultStats faults;
+  const std::string get = "GET / HTTP/1.1\r\nHost: a.example\r\n\r\n";
+  const auto clean = conversation(get, "HTTP/1.1 204 No Content\r\n\r\n");
+  const auto bytes = dm::net::write_pcap(clean);
+
+  // pcap: a cut global header, a bad magic, a cut final record, a record
+  // over the size cap.
+  dm::net::decode_pcap_view(std::span(bytes).first(10), {}, &faults);
+  auto bad_magic = bytes;
+  bad_magic[0] ^= 0xff;
+  dm::net::decode_pcap_view(bad_magic, {}, &faults);
+  auto cut = bytes;
+  dm::util::Rng rng(9);
+  ASSERT_EQ(dm::faultinject::truncate_final_record(cut, rng), 1u);
+  dm::net::decode_pcap_view(cut, {}, &faults);
+  dm::net::decode_pcap_view(bytes, {.max_record_bytes = 16}, &faults);
+
+  // frame: a garbled ethertype.
+  auto garbled = clean;
+  ASSERT_EQ(dm::faultinject::garble_ethertype(garbled, 1, rng), 1u);
+  dm::http::transactions_from_pcap(garbled, &faults);
+
+  // tcp: a lost first segment leaves the second gapped past a pending cap
+  // of 0, and a 16-byte stream cap.
+  const std::string two_segments(dm::net::TcpConversationBuilder::kMss + 1, 'x');
+  auto lossy = conversation(two_segments, "");
+  lossy.packets.erase(lossy.packets.begin() +
+                      static_cast<std::ptrdiff_t>(
+                          dm::faultinject::data_frame_indices(lossy).front()));
+  reassemble(lossy, &faults, {.max_pending_segments = 0});
+  reassemble(clean, &faults, {.max_stream_bytes = 16});
+
+  // http: one malformed message per code, reconstructed end to end.
+  for (const auto& [request, response] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\x01 not a request line\r\n", ""},
+           {get, "not a status line\r\n"},
+           {"POST / HTTP/1.1\r\nContent-Length: many\r\n\r\n", ""},
+           {"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nZZ\r\n", ""},
+           {"GET / HTTP/1.1\r\nHost: a.example\r\n", ""},
+       }) {
+    dm::http::transactions_from_pcap(conversation(request, response), &faults);
+  }
+
+  const auto recorded = faults.snapshot();
+  for (std::size_t i = 0; i < dm::util::kDecodeErrorCodeCount; ++i) {
+    const auto code = static_cast<DecodeErrorCode>(i);
+    EXPECT_GT(recorded.count(code), 0u)
+        << dm::util::decode_error_name(code) << " has no producer";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 // Health watchdog: hysteresis (trip/clear streaks), transition accounting in
 // the dm.health.* panel, kHealthTransition trace instants, and the five
-// default rules evaluated against synthetic registry snapshots.
+// default rules evaluated against synthetic registry snapshots (plus one
+// idle sharded engine's queue depth).
 #include "obs/health.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/detector.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/sharded_online.h"
 
 namespace dm::obs {
 namespace {
@@ -191,11 +195,11 @@ TEST(DefaultHealthRulesTest, ClueToVerdictSloReadsTheP99) {
 TEST(DefaultHealthRulesTest, OracleOverturnRateAndQueueSaturation) {
   MetricsRegistry reg;
   HealthThresholds thresholds;
-  thresholds.queue_capacity = 100;
   WatchdogOptions options;
   options.metrics = &reg;
   HealthWatchdog dog(default_health_rules(thresholds), options);
 
+  reg.counter("dm.runtime.queue_capacity").add(100);
   reg.counter("dm.runtime.queue_highwater").add(95);  // 95% of capacity
   reg.counter("dm.oracle.audited").add(10);
   reg.counter("dm.oracle.overturned").add(0);
@@ -210,6 +214,31 @@ TEST(DefaultHealthRulesTest, OracleOverturnRateAndQueueSaturation) {
   ASSERT_EQ(transitions.size(), 1u);  // overturn trips in one tick
   EXPECT_EQ(transitions[0].rule, "oracle_overturn_rate");
   EXPECT_EQ(transitions[0].to, HealthState::kCritical);
+}
+
+TEST(DefaultHealthRulesTest, QueueSaturationReadsTheEnginesOwnDepth) {
+  MetricsRegistry reg;
+  WatchdogOptions options;
+  options.metrics = &reg;
+  HealthWatchdog dog(default_health_rules(), options);
+  reg.counter("dm.runtime.queue_highwater").add(120);
+  dog.tick(reg.snapshot(), 1);
+  EXPECT_EQ(dog.rule_value("queue_saturation"), 0.0);  // no engine, no depth
+
+  // An engine at depth 128, not the default 256: a high-water mark of 120
+  // is 94% of what its queues hold.
+  dm::runtime::ShardedOptions engine_options;
+  engine_options.num_shards = 2;
+  engine_options.queue_capacity = 128;
+  engine_options.online.metrics = &reg;
+  dm::runtime::ShardedOnlineEngine engine(
+      std::make_shared<const dm::core::Detector>(dm::ml::RandomForest{}),
+      engine_options);
+  EXPECT_EQ(reg.snapshot().counter_value("dm.runtime.queue_capacity"), 128u);
+  dog.tick(reg.snapshot(), 2);
+  dog.tick(reg.snapshot(), 3);
+  EXPECT_DOUBLE_EQ(dog.rule_value("queue_saturation"), 120.0 / 128.0);
+  EXPECT_EQ(dog.rule_state("queue_saturation"), HealthState::kCritical);
 }
 
 }  // namespace

@@ -11,13 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 
 #include "core/trainer.h"
 #include "http/transaction_stream.h"
 #include "net/packet.h"
-#include "runtime/parallel_ingest.h"
 #include "synth/dataset.h"
 #include "synth/families.h"
 #include "synth/pcap_export.h"
@@ -285,68 +282,11 @@ TEST(ShardedOnlineEngineTest, FinishIsIdempotentAndImpliedByDestructor) {
   // builds) — covered in fault_injection_test.
 }
 
-TEST(ParallelIngestTest, DetectTransactionsMatchesSequential) {
-  const auto stream = mixed_trace(/*seed=*/781, /*benign=*/40, /*infections=*/8);
-  const auto expected = sorted_keys(run_sequential(stream));
-  ASSERT_FALSE(expected.empty()) << "trace produced no alerts; test is vacuous";
-  ShardedOptions options;
-  options.num_shards = 4;
-  options.online = online_options();
-  const auto result = detect_transactions(stream, shared_detector(), options);
-  EXPECT_EQ(result.transactions, stream.size());
-  EXPECT_EQ(sorted_keys(result.alerts), expected);
-  EXPECT_EQ(result.online.transactions_seen, stream.size());
-}
-
-TEST(ParallelIngestTest, PcapFilesRoundTripThroughShardedDetection) {
-  // Episodes -> real pcap files -> parallel Stage-1 reconstruction ->
-  // sharded Stage-2; the infection episodes must still raise alerts.
-  dm::synth::TraceGenerator gen(900);
-  const auto dir = std::filesystem::temp_directory_path() / "dm_runtime_ingest";
-  std::filesystem::create_directories(dir);
-  std::vector<std::string> paths;
-  int episode_index = 0;
-  auto write_episode = [&](const dm::synth::Episode& episode) {
-    const auto pcap = dm::synth::episode_to_pcap(episode);
-    const auto path = dir / ("episode" + std::to_string(episode_index++) + ".pcap");
-    dm::net::write_pcap_file(path.string(), pcap);
-    paths.push_back(path.string());
-  };
-  for (int i = 0; i < 4; ++i) write_episode(gen.benign());
-  write_episode(gen.infection(dm::synth::family_by_name("Angler")));
-  write_episode(gen.infection(dm::synth::family_by_name("Neutrino")));
-
-  IngestOptions options;
-  options.sharded.num_shards = 4;
-  options.sharded.online = online_options();
-  options.ingest_workers = 3;
-  const auto result = detect_pcap_files(paths, shared_detector(), options);
-  EXPECT_GT(result.transactions, 0u);
-  EXPECT_EQ(result.online.transactions_seen, result.transactions);
-
-  // Reference: the same captures through the sequential path.
-  std::vector<HttpTransaction> merged;
-  for (const auto& path : paths) {
-    auto txns = dm::http::transactions_from_pcap_file(path);
-    merged.insert(merged.end(), std::make_move_iterator(txns.begin()),
-                  std::make_move_iterator(txns.end()));
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const HttpTransaction& a, const HttpTransaction& b) {
-                     return a.request.ts_micros < b.request.ts_micros;
-                   });
-  const auto expected = sorted_keys(run_sequential(merged));
-  ASSERT_FALSE(expected.empty()) << "infection episodes raised no alerts";
-  EXPECT_EQ(sorted_keys(result.alerts), expected);
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ParallelIngestTest, DetectPcapMatchesSequentialOnAMergedCapture) {
+TEST(ShardedOnlineEngineTest, MergedCaptureMatchesSequentialAcross1_2_8Shards) {
   // Ten clients' episodes in one capture, one data frame garbled: at 1, 2
-  // and 8 shards, detect_pcap must raise the alerts of a sequential engine
-  // over transactions_from_pcap of the same capture, score bits included,
-  // and report exactly the faults that reconstruction counts.
+  // and 8 shards, the engine fed transactions_from_pcap of the capture must
+  // raise the alerts of a sequential engine over the same stream, score
+  // bits included, while reconstruction counts the one undecodable frame.
   dm::synth::TraceGenerator gen(920);
   std::vector<dm::synth::Episode> episodes;
   for (int i = 0; i < 6; ++i) episodes.push_back(gen.benign());
@@ -387,31 +327,25 @@ TEST(ParallelIngestTest, DetectPcapMatchesSequentialOnAMergedCapture) {
   data_frame->data[12] = 0xde;
   data_frame->data[13] = 0xad;
 
-  dm::util::FaultStats faults;
-  const auto stream = dm::http::transactions_from_pcap(capture, &faults);
-  const dm::util::FaultStatsSnapshot reconstructed = faults.snapshot();
-  EXPECT_EQ(
-      reconstructed.count(dm::util::DecodeErrorCode::kFrameUndecodable), 1u);
-  const auto expected = sorted_keys(run_sequential(stream));
+  const auto expected =
+      sorted_keys(run_sequential(dm::http::transactions_from_pcap(capture)));
   ASSERT_FALSE(expected.empty()) << "merged capture raised no alerts";
 
   for (const std::size_t shards : {1u, 2u, 8u}) {
     const std::string what = std::to_string(shards) + " shard(s)";
-    const IngestResult result =
-        detect_pcap(capture, shared_detector(), fence_options(shards));
-    expect_same_alerts(result.alerts, expected, what);
-    EXPECT_EQ(result.transactions, stream.size()) << what;
-    EXPECT_EQ(result.online.transactions_seen, stream.size()) << what;
-    EXPECT_EQ(result.faults.counts, reconstructed.counts) << what;
+    dm::util::FaultStats faults;
+    auto stream = dm::http::transactions_from_pcap(capture, &faults);
+    EXPECT_EQ(faults.count(dm::util::DecodeErrorCode::kFrameUndecodable), 1u)
+        << what;
+    const std::size_t transactions = stream.size();
+    ShardedOnlineEngine engine(shared_detector(), fence_options(shards));
+    for (auto& txn : stream) engine.observe(std::move(txn));
+    engine.finish();
+    const auto alerts = engine.merged_alerts();
+    EXPECT_FALSE(alerts.empty()) << what;
+    expect_same_alerts(alerts, expected, what);
+    EXPECT_EQ(engine.aggregated_stats().transactions_seen, transactions) << what;
   }
-}
-
-TEST(ParallelIngestTest, MissingPcapFileReportsAnError) {
-  IngestOptions options;
-  options.sharded.num_shards = 2;
-  EXPECT_THROW(
-      detect_pcap_files({"/nonexistent/never.pcap"}, shared_detector(), options),
-      std::runtime_error);
 }
 
 }  // namespace
