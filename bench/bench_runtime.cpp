@@ -133,7 +133,6 @@ std::vector<Alert> run_sharded(std::size_t shards) {
   dm::runtime::ShardedOptions options;
   options.num_shards = shards;
   options.batch_size = 64;
-  options.queue_capacity = 128;
   options.online = online_options();
   dm::runtime::ShardedOnlineEngine engine(trained_detector(), options);
   for (const auto& txn : benchmark_trace()) engine.observe(txn);

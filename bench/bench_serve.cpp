@@ -243,7 +243,6 @@ ShardedRun run_sharded_serving(dm::serve::RetrainDriver& driver,
   dm::runtime::ShardedOptions options;
   options.num_shards = shards;
   options.batch_size = 64;
-  options.queue_capacity = 128;
   options.online = base_online_options();
   options.online.verdict_tap = driver.verdict_tap();
   if (sink != nullptr) {

@@ -60,7 +60,8 @@ fi
 # eviction, sharded determinism); synth adds the trace-family determinism,
 # adversarial detection-path and 18-family shard-identity fences; tsan adds
 # the tests that carry only that label (the MPMC queue, the worker pool, the
-# sharded engine, the logger, the detector).
+# sharded engine, the logger, the detector, bench_runtime's alert-identity
+# gate).
 # Both sanitizers run the same label union so nothing labelled escapes
 # either.
 LABELS="obs|fault|train|serve|perf|synth|tsan"

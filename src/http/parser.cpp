@@ -11,7 +11,6 @@ namespace {
 
 using dm::util::DecodeError;
 using dm::util::DecodeErrorCode;
-using dm::util::DecodeLayer;
 using dm::util::parse_long;
 using dm::util::trim;
 
@@ -59,7 +58,7 @@ struct Cursor {
 
 void quarantine(std::vector<DecodeError>& errors, dm::util::FaultStats* faults,
                 DecodeErrorCode code, std::size_t offset, std::string reason) {
-  DecodeError error{code, DecodeLayer::kHttp, offset, std::move(reason)};
+  DecodeError error{code, offset, std::move(reason)};
   if (faults) faults->record(error);
   static dm::util::EveryN gate(256);
   dm::util::log_every_n(gate, dm::util::LogLevel::kWarn,
@@ -102,7 +101,7 @@ bool parse_header_block(Cursor& cursor, Headers& headers) {
 /// — quarantine and resync past it).
 dm::util::Expected<std::string> read_chunked_body(Cursor& cursor) {
   const auto fail = [&](DecodeErrorCode code, std::string reason) {
-    return DecodeError{code, DecodeLayer::kHttp, cursor.pos, std::move(reason)};
+    return DecodeError{code, cursor.pos, std::move(reason)};
   };
   std::string body;
   while (true) {

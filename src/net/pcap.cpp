@@ -11,7 +11,6 @@ namespace {
 
 using dm::util::DecodeError;
 using dm::util::DecodeErrorCode;
-using dm::util::DecodeLayer;
 
 constexpr std::uint32_t kMagicMicros = 0xa1b2c3d4;
 constexpr std::uint32_t kMagicNanos = 0xa1b23c4d;
@@ -116,7 +115,7 @@ PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
   if (bytes.size() < kGlobalHeaderSize) {
     result.fatal = true;
     quarantine(result, faults,
-               {DecodeErrorCode::kPcapTruncatedHeader, DecodeLayer::kPcap, 0,
+               {DecodeErrorCode::kPcapTruncatedHeader, 0,
                 "global header needs 24 bytes, " +
                     std::to_string(bytes.size()) + " given"});
     return result;
@@ -134,8 +133,7 @@ PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
     default:
       result.fatal = true;
       quarantine(result, faults,
-                 {DecodeErrorCode::kPcapBadMagic, DecodeLayer::kPcap, 0,
-                  "unrecognized magic"});
+                 {DecodeErrorCode::kPcapBadMagic, 0, "unrecognized magic"});
       return result;
   }
   // Header layout after magic: version(4) thiszone(4) sigfigs(4) snaplen(4)
@@ -161,8 +159,7 @@ PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
       // A corrupt length prefix makes everything after it unaddressable:
       // quarantine the tail as one fault and stop.
       quarantine(result, faults,
-                 {DecodeErrorCode::kPcapOversizedRecord, DecodeLayer::kPcap,
-                  record_start,
+                 {DecodeErrorCode::kPcapOversizedRecord, record_start,
                   "record claims " + std::to_string(incl_len) + " bytes, cap " +
                       std::to_string(options.max_record_bytes)});
       if (options.keep_quarantined) {
@@ -178,8 +175,7 @@ PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
       // the cut instead of discarding the capture.
       result.truncated_tail = true;
       quarantine(result, faults,
-                 {DecodeErrorCode::kPcapTruncatedRecord, DecodeLayer::kPcap,
-                  record_start,
+                 {DecodeErrorCode::kPcapTruncatedRecord, record_start,
                   "record needs " + std::to_string(incl_len) + " bytes, " +
                       std::to_string(r.left()) + " left"});
       if (options.keep_quarantined) {
@@ -198,8 +194,7 @@ PcapViewDecodeResult decode_pcap_view(std::span<const std::uint8_t> bytes,
     // 1..15 trailing bytes: a record header itself was cut mid-write.
     result.truncated_tail = true;
     quarantine(result, faults,
-               {DecodeErrorCode::kPcapTruncatedRecord, DecodeLayer::kPcap,
-                r.pos(),
+               {DecodeErrorCode::kPcapTruncatedRecord, r.pos(),
                 "trailing " + std::to_string(r.left()) +
                     " bytes are a cut record header"});
     if (options.keep_quarantined) {

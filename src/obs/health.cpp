@@ -166,7 +166,7 @@ std::vector<HealthRule> default_health_rules(
         const auto capacity = cur.counter_value("dm.runtime.queue_capacity");
         if (capacity == 0) return 0.0;
         return static_cast<double>(
-                   cur.counter_value("dm.runtime.queue_highwater")) /
+                   cur.counter_value("dm.runtime.queue_depth")) /
                static_cast<double>(capacity);
       },
       thresholds.queue_warn, thresholds.queue_critical, 2, 3});

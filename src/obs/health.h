@@ -121,9 +121,10 @@ class HealthWatchdog {
 
 /// Thresholds for the five stock rules (values are compared >=).
 struct HealthThresholds {
-  /// Queue saturation: dm.runtime.queue_highwater over
-  /// dm.runtime.queue_capacity, both read from the snapshot (0 when no
-  /// engine registered a capacity).
+  /// Queue saturation: dm.runtime.queue_depth (the deepest shard queue
+  /// when sampled) over dm.runtime.queue_capacity, both read from the
+  /// snapshot (0 when no engine registered a capacity).  It reads the
+  /// current depth, so it recovers once the workers catch up.
   double queue_warn = 0.5;
   double queue_critical = 0.9;
   /// Shed rate per tick: Δshed / Δin.

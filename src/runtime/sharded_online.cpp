@@ -58,8 +58,13 @@ ShardedOnlineEngine::ShardedOnlineEngine(
     for (const auto& shard : shards_) hw = std::max(hw, shard->queue.highwater());
     return static_cast<std::uint64_t>(hw);
   }));
-  // The per-shard depth the high-water mark is read against (the health
-  // watchdog's queue_saturation rule divides one by the other).
+  // The deepest shard queue now, and the depth it is read against: the
+  // health watchdog's queue_saturation rule divides one by the other.
+  obs_handles_.push_back(reg.register_callback("dm.runtime.queue_depth", [this] {
+    std::size_t deepest = 0;
+    for (const auto& shard : shards_) deepest = std::max(deepest, shard->queue.size());
+    return static_cast<std::uint64_t>(deepest);
+  }));
   const auto depth = static_cast<std::uint64_t>(shards_.front()->queue.capacity());
   obs_handles_.push_back(
       reg.register_callback("dm.runtime.queue_capacity", [depth] { return depth; }));

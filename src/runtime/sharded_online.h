@@ -57,8 +57,16 @@ struct ShardedOptions {
   std::size_t num_shards = 0;
   /// Bounded depth of each shard's queue, in batches.  Full queue engages
   /// the overload policy — backpressure or shedding, never unbounded
-  /// buffering under burst.
-  std::size_t queue_capacity = 256;
+  /// buffering under burst.  The depth bounds what the engine holds: after
+  /// observe() returns, a shard has at most (depth + 2) × batch_size
+  /// transactions in flight (queued, at its worker, and pending), so 1,152
+  /// over 3 shards of 64-transaction batches, and a batch waits a few
+  /// batches' work.  Why 4: one queued batch already keeps a worker busy,
+  /// since the dispatcher refills faster than a worker drains; the other
+  /// three leave room for partial batches sent by the idle flush and for
+  /// uneven load across shards.  The cost: while the one dispatcher waits
+  /// on a full queue, the other shards' queues can run dry.
+  std::size_t queue_capacity = 4;
   /// Transactions per dispatch batch.  Batching amortizes queue wakeups; a
   /// batch is flushed early whenever the stream ends, flush() is called, or
   /// the flush-on-idle rule below fires, so it trades latency (bounded by

@@ -31,9 +31,32 @@ std::string_view decode_error_name(DecodeErrorCode code) noexcept {
   return "?";
 }
 
+DecodeLayer layer_of(DecodeErrorCode code) noexcept {
+  switch (code) {
+    case DecodeErrorCode::kPcapTruncatedHeader:
+    case DecodeErrorCode::kPcapBadMagic:
+    case DecodeErrorCode::kPcapTruncatedRecord:
+    case DecodeErrorCode::kPcapOversizedRecord:
+      return DecodeLayer::kPcap;
+    case DecodeErrorCode::kFrameUndecodable:
+      return DecodeLayer::kFrame;
+    case DecodeErrorCode::kTcpPendingOverflow:
+    case DecodeErrorCode::kTcpStreamOverflow:
+      return DecodeLayer::kTcp;
+    case DecodeErrorCode::kHttpBadRequestLine:
+    case DecodeErrorCode::kHttpBadStatusLine:
+    case DecodeErrorCode::kHttpBadContentLength:
+    case DecodeErrorCode::kHttpBadChunk:
+    case DecodeErrorCode::kHttpTruncatedMessage:
+    case DecodeErrorCode::kCount_:  // sentinel, never counted
+      return DecodeLayer::kHttp;
+  }
+  return DecodeLayer::kHttp;
+}
+
 std::string DecodeError::to_string() const {
   std::string out;
-  out.append(decode_layer_name(layer));
+  out.append(decode_layer_name(layer_of(code)));
   out.push_back('/');
   out.append(decode_error_name(code));
   out.append(" @");

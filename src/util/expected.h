@@ -7,7 +7,7 @@
 // stream continues.  Exceptions remain reserved for file-level I/O and
 // construction errors; the hot decode path reports through these types.
 //
-// DecodeError pinpoints a fault as (code, layer, byte offset, reason);
+// DecodeError pinpoints a fault as (code, byte offset, reason);
 // Expected<T> is the value-or-DecodeError return type for decode steps that
 // cannot produce a partial result.
 #pragma once
@@ -61,12 +61,14 @@ inline constexpr std::size_t kDecodeErrorCodeCount =
     static_cast<std::size_t>(DecodeErrorCode::kCount_);
 
 std::string_view decode_error_name(DecodeErrorCode code) noexcept;
+/// The layer a code belongs to: the one code-to-layer map.
+DecodeLayer layer_of(DecodeErrorCode code) noexcept;
 
-/// One quarantined fault: what went wrong, where in the pipeline, at which
-/// byte offset of the layer's input, and a short human-readable reason.
+/// One quarantined fault: what went wrong, at which byte offset of its
+/// layer's input (the layer follows from the code), and a short
+/// human-readable reason.
 struct DecodeError {
   DecodeErrorCode code = DecodeErrorCode::kCount_;
-  DecodeLayer layer = DecodeLayer::kPcap;
   std::size_t offset = 0;
   std::string reason;
 

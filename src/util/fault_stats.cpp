@@ -1,43 +1,11 @@
 #include "util/fault_stats.h"
 
 namespace dm::util {
-namespace {
-
-DecodeLayer layer_of(DecodeErrorCode code) noexcept {
-  switch (code) {
-    case DecodeErrorCode::kPcapTruncatedHeader:
-    case DecodeErrorCode::kPcapBadMagic:
-    case DecodeErrorCode::kPcapTruncatedRecord:
-    case DecodeErrorCode::kPcapOversizedRecord:
-      return DecodeLayer::kPcap;
-    case DecodeErrorCode::kFrameUndecodable:
-      return DecodeLayer::kFrame;
-    case DecodeErrorCode::kTcpPendingOverflow:
-    case DecodeErrorCode::kTcpStreamOverflow:
-      return DecodeLayer::kTcp;
-    case DecodeErrorCode::kHttpBadRequestLine:
-    case DecodeErrorCode::kHttpBadStatusLine:
-    case DecodeErrorCode::kHttpBadContentLength:
-    case DecodeErrorCode::kHttpBadChunk:
-    case DecodeErrorCode::kHttpTruncatedMessage:
-    case DecodeErrorCode::kCount_:  // sentinel, never counted
-      return DecodeLayer::kHttp;
-  }
-  return DecodeLayer::kHttp;
-}
-
-}  // namespace
 
 std::uint64_t FaultStatsSnapshot::total() const noexcept {
   std::uint64_t sum = 0;
   for (const auto c : counts) sum += c;
   return sum;
-}
-
-FaultStatsSnapshot& FaultStatsSnapshot::operator+=(
-    const FaultStatsSnapshot& other) noexcept {
-  for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
-  return *this;
 }
 
 std::string FaultStatsSnapshot::summary() const {
@@ -67,10 +35,6 @@ FaultStatsSnapshot FaultStats::snapshot() const {
     snap.counts[i] = counts_[i].load(std::memory_order_relaxed);
   }
   return snap;
-}
-
-void FaultStats::reset() noexcept {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace dm::util

@@ -15,7 +15,7 @@
 
 namespace dm::util {
 
-/// Plain-value copy of the counters at one instant; summable across runs.
+/// Plain-value copy of the counters at one instant.
 struct FaultStatsSnapshot {
   std::array<std::uint64_t, kDecodeErrorCodeCount> counts{};
 
@@ -23,7 +23,6 @@ struct FaultStatsSnapshot {
     return counts[static_cast<std::size_t>(code)];
   }
   std::uint64_t total() const noexcept;
-  FaultStatsSnapshot& operator+=(const FaultStatsSnapshot& other) noexcept;
 
   /// "pcap/truncated-record=3 http/bad-chunk=1", or "none".
   std::string summary() const;
@@ -45,7 +44,6 @@ class FaultStats {
   std::uint64_t total() const noexcept;
 
   FaultStatsSnapshot snapshot() const;
-  void reset() noexcept;
 
  private:
   std::array<std::atomic<std::uint64_t>, kDecodeErrorCodeCount> counts_{};

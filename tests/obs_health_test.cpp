@@ -1,12 +1,13 @@
 // Health watchdog: hysteresis (trip/clear streaks), transition accounting in
 // the dm.health.* panel, kHealthTransition trace instants, and the five
-// default rules evaluated against synthetic registry snapshots (plus one
-// idle sharded engine's queue depth).
+// default rules evaluated against synthetic registry snapshots (plus the
+// queue depth of one idle and one stalled sharded engine).
 #include "obs/health.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <string>
 #include <vector>
@@ -200,7 +201,7 @@ TEST(DefaultHealthRulesTest, OracleOverturnRateAndQueueSaturation) {
   HealthWatchdog dog(default_health_rules(thresholds), options);
 
   reg.counter("dm.runtime.queue_capacity").add(100);
-  reg.counter("dm.runtime.queue_highwater").add(95);  // 95% of capacity
+  reg.counter("dm.runtime.queue_depth").add(95);  // 95% of capacity
   reg.counter("dm.oracle.audited").add(10);
   reg.counter("dm.oracle.overturned").add(0);
   dog.tick(reg.snapshot(), 1);
@@ -221,12 +222,12 @@ TEST(DefaultHealthRulesTest, QueueSaturationReadsTheEnginesOwnDepth) {
   WatchdogOptions options;
   options.metrics = &reg;
   HealthWatchdog dog(default_health_rules(), options);
-  reg.counter("dm.runtime.queue_highwater").add(120);
+  reg.counter("dm.runtime.queue_depth").add(120);
   dog.tick(reg.snapshot(), 1);
   EXPECT_EQ(dog.rule_value("queue_saturation"), 0.0);  // no engine, no depth
 
-  // An engine at depth 128, not the default 256: a high-water mark of 120
-  // is 94% of what its queues hold.
+  // An engine at depth 128, not the default 4: a queue 120 batches deep is
+  // 94% of what its queues hold.
   dm::runtime::ShardedOptions engine_options;
   engine_options.num_shards = 2;
   engine_options.queue_capacity = 128;
@@ -239,6 +240,51 @@ TEST(DefaultHealthRulesTest, QueueSaturationReadsTheEnginesOwnDepth) {
   dog.tick(reg.snapshot(), 3);
   EXPECT_DOUBLE_EQ(dog.rule_value("queue_saturation"), 120.0 / 128.0);
   EXPECT_EQ(dog.rule_state("queue_saturation"), HealthState::kCritical);
+}
+
+TEST(DefaultHealthRulesTest, QueueSaturationRecoversWhenTheQueueDrains) {
+  MetricsRegistry reg;
+  WatchdogOptions options;
+  options.metrics = &reg;
+  HealthWatchdog dog(default_health_rules(), options);
+
+  // One shard at depth 4 and one transaction per batch, its worker held in
+  // the hook on the first: the next four observe() calls fill the queue.
+  std::latch release(1);
+  dm::runtime::ShardedOptions engine_options;
+  engine_options.num_shards = 1;
+  engine_options.queue_capacity = 4;
+  engine_options.batch_size = 1;
+  engine_options.online.metrics = &reg;
+  engine_options.observe_fault_hook = [&release](const dm::http::HttpTransaction&) {
+    release.wait();
+  };
+  dm::runtime::ShardedOnlineEngine engine(
+      std::make_shared<const dm::core::Detector>(dm::ml::RandomForest{}),
+      engine_options);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    dm::http::HttpTransaction txn;
+    txn.client_host = "10.7.0.1";
+    txn.server_host = "svc.example";
+    txn.request.method = "GET";
+    txn.request.uri = "/" + std::to_string(i);
+    txn.request.ts_micros = 1'600'000'000'000'000 + i;
+    engine.observe(std::move(txn));
+  }
+  std::uint64_t now = 0;
+  while (dog.rule_state("queue_saturation") != HealthState::kCritical &&
+         now < 10) {
+    dog.tick(reg.snapshot(), ++now);
+  }
+  EXPECT_EQ(dog.rule_state("queue_saturation"), HealthState::kCritical);
+  EXPECT_DOUBLE_EQ(dog.rule_value("queue_saturation"), 1.0);
+
+  // Drained, the queue reads empty again, and the rule recovers.
+  release.count_down();
+  engine.finish();
+  for (int i = 0; i < 3; ++i) dog.tick(reg.snapshot(), ++now);
+  EXPECT_EQ(dog.rule_value("queue_saturation"), 0.0);
+  EXPECT_EQ(dog.rule_state("queue_saturation"), HealthState::kOk);
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 
 #include "core/trainer.h"
 #include "http/transaction_stream.h"
@@ -218,6 +220,43 @@ TEST(ShardedOnlineEngineTest, StatsAccountForEveryTransaction) {
   std::uint64_t across_shards = 0;
   for (const auto n : snap.per_shard_transactions) across_shards += n;
   EXPECT_EQ(across_shards, stream.size());
+}
+
+TEST(ShardedOnlineEngineTest, DefaultDepthBoundsTransactionsInFlight) {
+  // At the default depth the engine holds a bounded slice of the stream,
+  // not the capture: after observe() returns, a shard has at most
+  // (depth + 2) x batch_size transactions in flight (queued, at its worker,
+  // and pending).  The hook makes the workers lag, so the queues fill and
+  // backpressure, not the workers' pace, is what holds the bound.
+  const auto stream = mixed_trace(/*seed=*/781, /*benign=*/300, /*infections=*/30);
+  ASSERT_GE(stream.size(), 3000u);
+  const auto expected = sorted_keys(run_sequential(stream));
+  ASSERT_FALSE(expected.empty()) << "trace produced no alerts; test is vacuous";
+
+  ShardedOptions options;
+  options.num_shards = 3;
+  options.online = online_options();
+  options.observe_fault_hook = [](const HttpTransaction&) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  };
+  const std::uint64_t bound =
+      3 * (options.queue_capacity + 2) * options.batch_size;
+  EXPECT_LE(bound, 1152u);
+
+  ShardedOnlineEngine engine(shared_detector(), options);
+  for (const auto& txn : stream) {
+    engine.observe(txn);
+    const auto snap = engine.runtime_stats();
+    ASSERT_LE(snap.transactions_in - snap.transactions_out, bound)
+        << "after " << snap.transactions_in << " transactions";
+  }
+  engine.finish();
+  const auto snap = engine.runtime_stats();
+  // The workers did lag: a queue filled, so backpressure was exercised.
+  EXPECT_EQ(snap.queue_highwater, options.queue_capacity);
+  EXPECT_EQ(snap.transactions_in, stream.size());
+  EXPECT_EQ(snap.transactions_out, stream.size());
+  expect_same_alerts(engine.merged_alerts(), expected, "the default depth");
 }
 
 TEST(ShardedOnlineEngineTest, IdleShardsFlushPartialBatches) {

@@ -11,8 +11,8 @@ namespace dm::util {
 namespace {
 
 TEST(DecodeErrorTest, ToStringNamesLayerCodeOffsetAndReason) {
-  const DecodeError error{DecodeErrorCode::kPcapTruncatedRecord,
-                          DecodeLayer::kPcap, 1534, "record cut short"};
+  const DecodeError error{DecodeErrorCode::kPcapTruncatedRecord, 1534,
+                          "record cut short"};
   EXPECT_EQ(error.to_string(), "pcap/truncated-record @1534: record cut short");
 }
 
@@ -22,8 +22,7 @@ TEST(ExpectedTest, HoldsValueOrError) {
   EXPECT_EQ(*ok, 42);
   EXPECT_EQ(ok.value_or(-1), 42);
 
-  Expected<int> bad(DecodeError{DecodeErrorCode::kHttpBadChunk,
-                                DecodeLayer::kHttp, 7, "bad size"});
+  Expected<int> bad(DecodeError{DecodeErrorCode::kHttpBadChunk, 7, "bad size"});
   ASSERT_FALSE(bad);
   EXPECT_EQ(bad.error().code, DecodeErrorCode::kHttpBadChunk);
   EXPECT_EQ(bad.value_or(-1), -1);
@@ -38,8 +37,6 @@ TEST(FaultStatsTest, CountsPerCodeAndInTotal) {
   EXPECT_EQ(stats.count(DecodeErrorCode::kPcapBadMagic), 1u);
   EXPECT_EQ(stats.count(DecodeErrorCode::kHttpBadChunk), 2u);
   EXPECT_EQ(stats.total(), 3u);
-  stats.reset();
-  EXPECT_EQ(stats.total(), 0u);
 }
 
 TEST(FaultStatsTest, SnapshotSumsAndSummarizes) {
@@ -50,12 +47,7 @@ TEST(FaultStatsTest, SnapshotSumsAndSummarizes) {
   auto a = stats.snapshot();
   EXPECT_EQ(a.count(DecodeErrorCode::kTcpPendingOverflow), 2u);
   EXPECT_NE(a.summary().find("pending-overflow=2"), std::string::npos);
-
-  FaultStatsSnapshot b;
-  b.counts[static_cast<std::size_t>(DecodeErrorCode::kTcpPendingOverflow)] = 3;
-  a += b;
-  EXPECT_EQ(a.count(DecodeErrorCode::kTcpPendingOverflow), 5u);
-  EXPECT_EQ(a.total(), 5u);
+  EXPECT_EQ(a.total(), 2u);
 }
 
 TEST(FaultStatsTest, ConcurrentRecordingLosesNothing) {
